@@ -9,14 +9,10 @@ from .exactnum import (
     INFINITY,
     DomainError,
     FormalLog,
+    ParseError,
     Place,
     PrimeFactorization,
     factor,
-    finite_place,
-    flog_combine,
-    flog_compare,
-    flog_max,
-    flog_min,
     ord_at,
     ord_plus,
     prime_to_S,
@@ -54,7 +50,6 @@ from .wheight import (
     wh_m_power,
 )
 from .wpoly import (
-    PolyParseError,
     SubschemeSpec,
     WPoly,
     global_height_Y,

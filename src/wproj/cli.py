@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .exactnum import DomainError, FormalLog, factor
-from .wspace import WeightVector, classify, is_singular, reduce_weights
+from .exactnum import DomainError, FormalLog, ParseError, factor
+from .wspace import WeightVector, classify, is_singular, parse_weights, reduce_weights
 from .wpoint import (
     WPoint,
     canonicalize,
@@ -25,12 +26,7 @@ from .wpoint import (
     wgcd,
 )
 from .wheight import hgcd, hwgcd_mult, lwh, split_height_S, wh_m_power
-from .wpoly import (
-    PolyParseError,
-    SubschemeSpec,
-    global_height_Y,
-    parse_wpoly_file,
-)
+from .wpoly import SubschemeSpec, global_height_Y, parse_wpoly_file
 from . import vojtalab
 from .search import SearchConfig
 from .search import search as run_search
@@ -45,30 +41,11 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _weights(text: str) -> WeightVector:
-    try:
-        parts = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError(f"malformed weight list {text!r}")
-    return classify(parts)
-
-
 def _rationals(text: str) -> list[Fraction]:
     try:
         return [Fraction(part) for part in text.split(":")]
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed point/tuple {text!r}")
-
-
-def _point(text: str, w: WeightVector) -> WPoint:
-    coords = _rationals(text)
-    if len(coords) != len(w.q):
-        raise UsageError(
-            f"point has {len(coords)} coordinates but weights have {len(w.q)}"
-        )
-    from .wpoint import integralize
-
-    return integralize(coords, w)
 
 
 def _int_tuple(text: str, w: WeightVector) -> tuple[int, ...]:
@@ -103,6 +80,20 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"malformed integer list {text!r}")
 
 
+def _jobs(text: str) -> int:
+    """Worker count from --jobs or WPROJ_JOBS: a positive integer, clamped
+    to the CPU count."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"jobs must be a positive integer (--jobs or WPROJ_JOBS), got {text!r}"
+        )
+    return min(n, os.cpu_count() or 1)
+
+
 def _load_wpoly(path: str):
     try:
         with open(path) as fh:
@@ -111,7 +102,7 @@ def _load_wpoly(path: str):
         raise UsageError(f"cannot read {path}: {exc}")
     try:
         return parse_wpoly_file(text)
-    except PolyParseError as exc:
+    except ParseError as exc:
         raise UsageError(f"malformed polynomial file {path}: {exc}")
 
 
@@ -169,27 +160,27 @@ def _cmd_factor(args) -> None:
 
 
 def _cmd_wgcd(args) -> None:
-    w = _weights(args.weights)
+    w = parse_weights(args.weights)
     x = WPoint(w, _int_tuple(args.tuple, w))
     _emit({"weights": str(w), "tuple": str(x), "wgcd": wgcd(x)}, [str(wgcd(x))], args)
 
 
 def _cmd_normalize(args) -> None:
-    w = _weights(args.weights)
+    w = parse_weights(args.weights)
     y = normalize(WPoint(w, _int_tuple(args.tuple, w)))
     out = ":".join(str(c) for c in y.coords)
     _emit({"weights": str(w), "normalized": out}, [out], args)
 
 
 def _cmd_canonical(args) -> None:
-    w = _weights(args.weights)
+    w = parse_weights(args.weights)
     y = canonicalize(WPoint(w, _int_tuple(args.tuple, w)))
     out = ":".join(str(c) for c in y.coords)
     _emit({"weights": str(w), "canonical": out}, [out], args)
 
 
 def _cmd_equals(args) -> None:
-    w = _weights(args.weights)
+    w = parse_weights(args.weights)
     a = WPoint(w, _int_tuple(args.left, w))
     b = WPoint(w, _int_tuple(args.right, w))
     same = equals(a, b)
@@ -197,8 +188,8 @@ def _cmd_equals(args) -> None:
 
 
 def _cmd_height(args) -> None:
-    w = _weights(args.weights)
-    x = _point(args.point, w)
+    w = parse_weights(args.weights)
+    x = parse_point(args.point, w)
     h = lwh(x)
     _emit(
         {
@@ -214,7 +205,7 @@ def _cmd_height(args) -> None:
 
 
 def _cmd_hwgcd(args) -> None:
-    w = _weights(args.weights)
+    w = parse_weights(args.weights)
     coords = _rationals(args.tuple)
     if len(coords) != len(w.q):
         raise UsageError("tuple/weights length mismatch")
@@ -241,8 +232,8 @@ def _cmd_hgcd(args) -> None:
 
 
 def _cmd_split_height(args) -> None:
-    w = _weights(args.weights)
-    x = _point(args.point, w)
+    w = parse_weights(args.weights)
+    x = parse_point(args.point, w)
     S = set(_int_list(args.primes)) if args.primes else set()
     divisor = list(_int_list(args.divisor)) if args.divisor else None
     sh = split_height_S(x, S, divisor)
@@ -283,7 +274,7 @@ def _cmd_poly_check(args) -> None:
 def _cmd_poly_eval(args) -> None:
     weights, polys = _load_wpoly(args.poly)
     w = classify(list(weights.values()))
-    x = _point(args.point, w)
+    x = parse_point(args.point, w)
     values = [f.eval(x.coords) for f in polys]
     _emit(
         {"point": str(x), "values": values},
@@ -296,7 +287,7 @@ def _cmd_subscheme_height(args) -> None:
     weights, polys = _load_wpoly(args.poly)
     w = classify(list(weights.values()))
     spec = SubschemeSpec(tuple(polys), args.codim)
-    x = _point(args.point, w)
+    x = parse_point(args.point, w)
     h = global_height_Y(spec, x)
     _emit(
         {
@@ -310,14 +301,14 @@ def _cmd_subscheme_height(args) -> None:
 
 
 def _cmd_singular(args) -> None:
-    w = _weights(args.weights)
+    w = parse_weights(args.weights)
     coords = _int_tuple(args.tuple, w)
     s = is_singular(w, coords)
     _emit({"weights": str(w), "singular": s}, ["true" if s else "false"], args)
 
 
 def _cmd_reduce_weights(args) -> None:
-    w = _weights(args.weights)
+    w = parse_weights(args.weights)
     red, d = reduce_weights(w)
     _emit(
         {"weights": str(w), "reduced": str(red), "d": d},
@@ -327,7 +318,7 @@ def _cmd_reduce_weights(args) -> None:
 
 
 def _cmd_search(args) -> None:
-    w = _weights(args.weights)
+    w = parse_weights(args.weights)
     B = _fraction(args.bound)
     poly = None
     nonvanishing: frozenset[int] = frozenset()
@@ -390,7 +381,7 @@ def _cmd_search(args) -> None:
 
 
 def _cmd_vojta_scan(args) -> None:
-    w = _weights(args.weights)
+    w = parse_weights(args.weights)
     weights, polys = _load_wpoly(args.poly)
     if tuple(weights.values()) != w.q:
         raise UsageError("polynomial weights do not match --weights")
@@ -511,16 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(fn=_cmd_reduce_weights)
 
-    import os
-
-    default_jobs = int(os.environ.get("WPROJ_JOBS", "1"))
+    # a string default goes through type=_jobs too, so WPROJ_JOBS is checked
+    default_jobs = os.environ.get("WPROJ_JOBS", "1")
 
     sp = sub.add_parser("search", help="bounded-height point search")
     sp.add_argument("--weights", required=True)
     sp.add_argument("--bound", required=True)
     sp.add_argument("--poly", default=None)
     sp.add_argument("--require-nonzero", default=None)
-    sp.add_argument("--jobs", type=int, default=default_jobs)
+    sp.add_argument("--jobs", type=_jobs, default=default_jobs)
     sp.add_argument("--no-phase2", action="store_true")
     _add_common(sp)
     sp.set_defaults(fn=_cmd_search)
@@ -536,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box", required=True)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--coprime", action="store_true")
-    sp.add_argument("--jobs", type=int, default=default_jobs)
+    sp.add_argument("--jobs", type=_jobs, default=default_jobs)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_vojta_scan)
 
@@ -556,10 +546,7 @@ def main(argv=None) -> int:
     )
     try:
         args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except PolyParseError as exc:
+    except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 import mpmath
 import sympy
@@ -24,6 +24,11 @@ INFINITY = math.inf
 
 class DomainError(ValueError):
     """Raised when an operation is applied outside its mathematical domain."""
+
+
+class ParseError(DomainError):
+    """Malformed input text: bad syntax, the wrong number of entries, or a
+    polynomial that is not weighted homogeneous."""
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +94,6 @@ class Place:
 
 
 INFINITE_PLACE = Place(None)
-
-
-def finite_place(p: int) -> Place:
-    return Place(p)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +303,6 @@ class FormalLog:
         return f"FormalLog({self.symbolic()})"
 
 
-FLOG_ZERO = FormalLog()
-
-
 # ---------------------------------------------------------------------------
 # Valuations
 # ---------------------------------------------------------------------------
@@ -358,29 +356,3 @@ def prime_to_S(x: int, S: Iterable[int]) -> int:
         while n % p == 0:
             n //= p
     return n
-
-
-# ---------------------------------------------------------------------------
-# FormalLog combinators (module-level operation surface)
-# ---------------------------------------------------------------------------
-
-
-def flog_combine(terms: Sequence[tuple[Rational, FormalLog]]) -> FormalLog:
-    """Exact rational-linear combination of FormalLog values."""
-    total = FormalLog.zero()
-    for k, v in terms:
-        total = total + v.scale(k)
-    return total
-
-
-def flog_compare(a: FormalLog, b: FormalLog) -> int:
-    """-1, 0, or +1 as a <, =, > b (equality symbolic, order certified)."""
-    return a.compare(b)
-
-
-def flog_min(a: FormalLog, b: FormalLog) -> FormalLog:
-    return a if a.compare(b) <= 0 else b
-
-
-def flog_max(a: FormalLog, b: FormalLog) -> FormalLog:
-    return a if a.compare(b) >= 0 else b

@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, Sequence
 import sympy
 
 from .exactnum import DomainError
-from .wpoint import WPoint, _lex_key, canonicalize, wgcd_tuple
-from .wpoly import WPoly
+from .wpoint import WPoint, _lex_key, _veronese_image, canonicalize
+from .wpoly import WPoly, _eval_terms
 from .wspace import WeightVector
 
 _FAST_PATH_VOLUME = 5_000
@@ -44,9 +44,6 @@ class SearchConfig:
     phase2: bool = True
 
     def __post_init__(self) -> None:
-        if self.bound < 1:
-            # wh >= 1 always; an empty search is still valid config
-            pass
         if self.hypersurface is not None and self.hypersurface.weights != self.w.q:
             raise DomainError("hypersurface weights do not match the search weights")
 
@@ -84,14 +81,6 @@ def _nth_root_floor(n: int, k: int) -> int:
     return int(r)
 
 
-def _wh_m(coords: Sequence[int], w: WeightVector) -> int:
-    """wh(x)^m as an exact integer (classical height of the Veronese image)."""
-    m = w.m
-    raw = [c ** (m // q) for c, q in zip(coords, w.q)]
-    g = math.gcd(*raw)
-    return max(abs(c) for c in raw) // g
-
-
 def _sort_key(hit_coords: tuple[int, ...], whm: int):
     return (whm, _lex_key(hit_coords))
 
@@ -99,17 +88,6 @@ def _sort_key(hit_coords: tuple[int, ...], whm: int):
 # ---------------------------------------------------------------------------
 # box scanning
 # ---------------------------------------------------------------------------
-
-
-def _eval_terms(terms, point) -> int:
-    total = 0
-    for coeff, exps in terms:
-        v = coeff
-        for x, e in zip(point, exps):
-            if e:
-                v *= x**e
-        total += v
-    return total
 
 
 def _scan_box_exact(terms, ranges) -> list[tuple[int, ...]]:
@@ -381,11 +359,11 @@ def _collect(
     """Exact wh filter, canonicalization, dedup, nonvanishing filter, sort."""
     w = config.w
     Bm = config.bound**w.m
-    seen: dict[tuple[int, ...], int] = {}
+    seen: dict[tuple[int, ...], tuple[WPoint, int]] = {}
     for coords in raw_candidates:
         if all(c == 0 for c in coords):
             continue
-        whm = _wh_m(coords, w)
+        whm = max(map(abs, _veronese_image(coords, w)))
         if whm > Bm:
             continue
         canon = canonicalize(WPoint(w, coords))
@@ -396,13 +374,14 @@ def _collect(
                 canon.coords
             ) != 0:
                 continue
-            seen[canon.coords] = _wh_m(canon.coords, w)
+            # wh is invariant under the scaling action: canon has wh^m = whm
+            seen[canon.coords] = (canon, whm)
     hits = []
-    for coords, whm in seen.items():
+    for coords, (point, whm) in seen.items():
         if any(coords[i] == 0 for i in config.nonvanishing):
             continue
         vanishing = tuple(i for i, c in enumerate(coords) if c == 0)
-        hits.append(SearchHit(WPoint(w, coords), whm, vanishing))
+        hits.append(SearchHit(point, whm, vanishing))
     hits.sort(key=lambda h: _sort_key(h.point.coords, h.wh_m))
     return hits
 
@@ -464,6 +443,6 @@ def brute_force_oracle(
     for tup in itertools.product(*ranges):
         if all(c == 0 for c in tup):
             continue
-        if _wh_m(tup, w) <= Bm:
+        if max(map(abs, _veronese_image(tup, w))) <= Bm:
             out.add(canonicalize(WPoint(w, tup)).coords)
     return out

@@ -23,7 +23,6 @@ from .exactnum import (
     INFINITE_PLACE,
     DomainError,
     FormalLog,
-    flog_max,
     prime_to_S,
 )
 from .wheight import local_height
@@ -271,7 +270,7 @@ def scan(config: ScanConfig) -> ScanReport:
                     continue
                 considered += 1
                 neg = -m  # lhs - rhs
-                worst = neg if worst is None else flog_max(worst, neg)
+                worst = neg if worst is None else max(worst, neg)
                 if m.sign() < 0:
                     violating.append(rec.alpha)
             cells.append(
@@ -283,7 +282,7 @@ def scan(config: ScanConfig) -> ScanReport:
                     violating_alphas=tuple(sorted(violating)),
                     empirical_C=None
                     if worst is None
-                    else flog_max(worst, FormalLog.zero()),
+                    else max(worst, FormalLog.zero()),
                 )
             )
     return ScanReport(

@@ -16,24 +16,17 @@ from .exactnum import (
     Place,
     Rational,
     _int_valuation,
-    flog_min,
+    factor,
     ord_plus,
     prime_to_S,
 )
-from .wpoint import WPoint, veronese, wgcd_tuple
+from .wpoint import WPoint, _veronese_image, wgcd_tuple
 from .wspace import WeightVector
 
 
-def _support_primes(coords: Iterable[int]) -> list[int]:
-    import sympy
-
-    prod = 1
-    for c in coords:
-        if c != 0:
-            prod *= abs(c)
-    if prod == 1:
-        return []
-    return sorted(sympy.primefactors(prod))
+def _support_primes(values: Iterable[int]) -> list[int]:
+    """Sorted primes dividing some nonzero value, each value factored alone."""
+    return sorted({p for v in values if v != 0 for p, _ in factor(v).factors})
 
 
 def _argmax_weighted_abs(coords: Sequence[int], q: Sequence[int], m: int) -> int:
@@ -76,7 +69,7 @@ def lwh(x: WPoint) -> FormalLog:
 def wh_m_power(x: WPoint) -> int:
     """The exact integer wh(x)^m, via the classical height of the Veronese
     image: max |coordinate| after gcd reduction."""
-    return max(abs(c) for c in veronese(x))
+    return max(map(abs, _veronese_image(x.coords, x.w)))
 
 
 def hgcd(alpha: Rational, beta: Rational) -> FormalLog:
@@ -85,13 +78,7 @@ def hgcd(alpha: Rational, beta: Rational) -> FormalLog:
     if a == 0 and b == 0:
         raise DomainError("hgcd(0, 0) is undefined")
     total = FormalLog.zero()
-    import sympy
-
-    nums = 1
-    for v in (a, b):
-        if v != 0:
-            nums *= abs(v.numerator * v.denominator)
-    for p in sympy.primefactors(nums):
+    for p in _support_primes([a.numerator, a.denominator, b.numerator, b.denominator]):
         va = ord_plus(a, Place(p))
         vb = ord_plus(b, Place(p))
         v = vb if va is INFINITY else (va if vb is INFINITY else min(va, vb))
@@ -99,29 +86,17 @@ def hgcd(alpha: Rational, beta: Rational) -> FormalLog:
             total = total + FormalLog.of_prime(p, v)
     va = ord_plus(a, INFINITE_PLACE)
     vb = ord_plus(b, INFINITE_PLACE)
-    arch = vb if va is INFINITY else (va if vb is INFINITY else flog_min(va, vb))
+    arch = vb if va is INFINITY else (va if vb is INFINITY else min(va, vb))
     return total + arch
 
 
 def hwgcd_mult(coords: Sequence[Rational], w: WeightVector) -> int:
     """Generalized weighted gcd over finite places:
-    prod_p p^{min_i floor(nu_p+(x_i)/q_i)}; zero coordinates unconstrained."""
-    xs = [Fraction(c) for c in coords]
-    if all(c == 0 for c in xs):
-        raise DomainError("all-zero tuple")
-    out = 1
-    for p in _support_primes([c.numerator for c in xs if c != 0]):
-        e = min(
-            max(
-                _int_valuation(c.numerator, p) - _int_valuation(c.denominator, p), 0
-            )
-            // qi
-            for c, qi in zip(xs, w.q)
-            if c != 0
-        )
-        if e > 0:
-            out *= p**e
-    return out
+    prod_p p^{min_i floor(nu_p+(x_i)/q_i)}; zero coordinates unconstrained.
+
+    In lowest terms nu_p+(a/b) = max(v_p(a/b), 0) = v_p(a), so this is the
+    weighted gcd of the numerators."""
+    return wgcd_tuple([Fraction(c).numerator for c in coords], w.q)
 
 
 def log_hwgcd_point(x: WPoint) -> FormalLog:
@@ -131,12 +106,9 @@ def log_hwgcd_point(x: WPoint) -> FormalLog:
     term: min_i floor(nu_oo+(x_i)/q_i), identically 0 on integer
     representatives since nonzero integers have nu_oo+ = 0.
     """
-    total = FormalLog.zero()
-    g = wgcd_tuple(x.coords, x.w.q)
-    if g > 1:
-        total = total + FormalLog.of_log(g)
+    g = x.cached_wgcd
     # archimedean floor is 0: every nonzero integer has |x| >= 1
-    return total
+    return FormalLog.of_log(g) if g > 1 else FormalLog.zero()
 
 
 def log_hwgcd_tuple(coords: Sequence[Rational], w: WeightVector) -> FormalLog:

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import sympy
 
-from .exactnum import DomainError, Rational, _int_valuation, factor
+from .exactnum import DomainError, ParseError, Rational, _int_valuation, factor
 from .wspace import WeightVector
 
 
@@ -183,13 +183,18 @@ def act(lam: Rational, x: WPoint) -> WPoint:
     return WPoint(x.w, tuple(out))
 
 
-def veronese(x: WPoint) -> tuple[int, ...]:
-    """phi_m: the classical projective image (x_i^{m/q_i}), gcd-reduced,
-    sign-normalized so the first nonzero coordinate is positive."""
-    m = x.w.m
-    raw = [c ** (m // q) for c, q in zip(x.coords, x.w.q)]
+def _veronese_image(coords: Sequence[int], w: WeightVector) -> list[int]:
+    """The classical projective image (x_i^{m/q_i}), gcd-reduced.  Its
+    largest absolute value is wh(x)^m, the classical height of the image."""
+    raw = [c ** (w.m // q) for c, q in zip(coords, w.q)]
     g = math.gcd(*raw)
-    out = [c // g for c in raw]
+    return [c // g for c in raw]
+
+
+def veronese(x: WPoint) -> tuple[int, ...]:
+    """phi_m: the gcd-reduced Veronese image, sign-normalized so the first
+    nonzero coordinate is positive."""
+    out = _veronese_image(x.coords, x.w)
     for c in out:
         if c != 0:
             if c < 0:
@@ -203,9 +208,9 @@ def parse_point(text: str, w: WeightVector) -> WPoint:
     try:
         coords = [Fraction(part) for part in text.split(":")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad point {text!r}") from exc
+        raise ParseError(f"malformed point {text!r}") from exc
     if len(coords) != len(w.q):
-        raise DomainError(
+        raise ParseError(
             f"point has {len(coords)} coordinates but weights have {len(w.q)}"
         )
     return integralize(coords, w)

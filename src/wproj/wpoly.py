@@ -13,17 +13,25 @@ from .exactnum import (
     INFINITE_PLACE,
     DomainError,
     FormalLog,
+    ParseError,
     Place,
     _int_valuation,
-    flog_min,
 )
 from .wheight import _argmax_weighted_abs, _support_primes
 from .wpoint import WPoint
 from .wspace import WeightVector
 
 
-class PolyParseError(DomainError):
-    """Syntax or homogeneity error in polynomial text, position-annotated."""
+def _eval_terms(terms, point) -> int:
+    """Exact value of sum coeff * prod x_i^{e_i} over (coeff, exponents) terms."""
+    total = 0
+    for coeff, exps in terms:
+        v = coeff
+        for x, e in zip(point, exps):
+            if e:
+                v *= x**e
+        total += v
+    return total
 
 
 @dataclass(frozen=True)
@@ -44,14 +52,7 @@ class WPoly:
             raise DomainError(
                 f"expected {len(self.vars)} values, got {len(point)}"
             )
-        total = 0
-        for coeff, exps in self.terms:
-            v = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x**e
-            total += v
-        return total
+        return _eval_terms(self.terms, point)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -88,7 +89,7 @@ def _tokenize(text: str):
             continue
         m = _TOKEN.match(text, pos)
         if not m:
-            raise PolyParseError(
+            raise ParseError(
                 f"unexpected character {text[pos]!r} at position {pos}"
             )
         kind = m.lastgroup
@@ -143,7 +144,7 @@ def parse(text: str, weights: dict[str, int] | None = None, *, w: WeightVector |
             if kind != "ident":
                 break
             if val not in index:
-                raise PolyParseError(f"unknown variable {val!r} at position {pos}")
+                raise ParseError(f"unknown variable {val!r} at position {pos}")
             vi = index[val]
             i += 1
             e = 1
@@ -152,13 +153,13 @@ def parse(text: str, weights: dict[str, int] | None = None, *, w: WeightVector |
                 i += 1
                 kind3, val3, pos3 = peek()
                 if kind3 != "int":
-                    raise PolyParseError(f"expected exponent at position {pos3}")
+                    raise ParseError(f"expected exponent at position {pos3}")
                 e = int(val3)
                 i += 1
             exps[vi] += e
             saw_factor = True
         if not saw_factor:
-            raise PolyParseError(f"expected a term at position {pos}")
+            raise ParseError(f"expected a term at position {pos}")
         terms.append((coeff, exps))
         kind, val, pos = peek()
         if kind is None:
@@ -167,7 +168,7 @@ def parse(text: str, weights: dict[str, int] | None = None, *, w: WeightVector |
             sign = -1 if val == "-" else 1
             i += 1
         else:
-            raise PolyParseError(f"expected '+' or '-' at position {pos}")
+            raise ParseError(f"expected '+' or '-' at position {pos}")
 
     # combine duplicates, canonical order
     combined: dict[tuple[int, ...], int] = {}
@@ -177,7 +178,7 @@ def parse(text: str, weights: dict[str, int] | None = None, *, w: WeightVector |
     clean = [(c, e) for e, c in combined.items() if c != 0]
     clean.sort(key=lambda t: _grevlex_key(t[1]))
     if not clean:
-        raise PolyParseError("zero polynomial")
+        raise ParseError("zero polynomial")
 
     degrees = {sum(e * q for e, q in zip(exps, qs)) for _, exps in clean}
     if len(degrees) != 1:
@@ -185,7 +186,7 @@ def parse(text: str, weights: dict[str, int] | None = None, *, w: WeightVector |
             f"{_monomial_str(names, exps)} (degree {sum(e * q for e, q in zip(exps, qs))})"
             for _, exps in clean
         )
-        raise PolyParseError(f"not weighted homogeneous: {bad}")
+        raise ParseError(f"not weighted homogeneous: {bad}")
     return WPoly(vars=names, weights=qs, terms=tuple(clean), degree=degrees.pop())
 
 
@@ -212,13 +213,14 @@ def parse_wpoly_file(text: str) -> tuple[dict[str, int], list[WPoly]]:
             continue
         if stripped.lower().startswith("weights:"):
             if weights is not None:
-                raise PolyParseError("duplicate weights header")
+                raise ParseError("duplicate weights header")
             weights = {}
             for part in stripped[len("weights:") :].split():
-                if "=" not in part:
-                    raise PolyParseError(f"bad weights entry {part!r}")
-                name, qtext = part.split("=", 1)
-                weights[name.strip()] = int(qtext)
+                name, _, qtext = part.partition("=")
+                try:
+                    weights[name.strip()] = int(qtext)
+                except ValueError:
+                    raise ParseError(f"bad weights entry {part!r}") from None
             continue
         if not stripped:
             if current:
@@ -229,9 +231,9 @@ def parse_wpoly_file(text: str) -> tuple[dict[str, int], list[WPoly]]:
     if current:
         stanzas.append(" ".join(current))
     if weights is None:
-        raise PolyParseError("missing 'weights:' header")
+        raise ParseError("missing 'weights:' header")
     if not stanzas:
-        raise PolyParseError("no polynomials in file")
+        raise ParseError("no polynomials in file")
     return weights, [parse(s, weights) for s in stanzas]
 
 
@@ -293,7 +295,7 @@ def local_height_Y(spec: SubschemeSpec, x: WPoint, place: Place) -> FormalLog | 
         if val == 0:
             continue
         term = log_max.scale(f.degree) - FormalLog.of_log(val)
-        best_fl = term if best_fl is None else flog_min(best_fl, term)
+        best_fl = term if best_fl is None else min(best_fl, term)
     return best_fl
 
 
@@ -302,15 +304,8 @@ def global_height_Y(spec: SubschemeSpec, x: WPoint) -> FormalLog:
     values = [f.eval(x.coords) for f in spec.polys]
     if all(v == 0 for v in values):
         raise DomainError("point lies on the subscheme: infinite height")
-    prod = 1
-    for v in values:
-        if v != 0:
-            prod *= abs(v)
-    for c in x.coords:
-        if c != 0:
-            prod *= abs(c)
     total = local_height_Y(spec, x, INFINITE_PLACE)
-    for p in _support_primes([prod]):
+    for p in _support_primes(values + list(x.coords)):
         total = total + local_height_Y(spec, x, Place(p))
     return total
 
@@ -344,15 +339,8 @@ def log_gcd_residual(spec: SubschemeSpec, x: WPoint) -> FormalLog:
     that error, reported rather than asserted away.
     """
     total = FormalLog.zero()
-    prod = 1
-    for f in spec.polys:
-        v = f.eval(x.coords)
-        if v != 0:
-            prod *= abs(v)
-    for c in x.coords:
-        if c != 0:
-            prod *= abs(c)
-    for p in _support_primes([prod]):
+    values = [f.eval(x.coords) for f in spec.polys]
+    for p in _support_primes(values + list(x.coords)):
         lam = local_height_Y(spec, x, Place(p))
         if lam is None:
             raise DomainError("point lies on the subscheme")

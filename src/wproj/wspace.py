@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import sympy
 
-from .exactnum import DomainError
+from .exactnum import DomainError, ParseError
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def parse_weights(text: str) -> WeightVector:
     try:
         parts = [int(x) for x in text.split(",")]
     except ValueError as exc:
-        raise DomainError(f"bad weight list {text!r}") from exc
+        raise ParseError(f"malformed weight list {text!r}") from exc
     return classify(parts)
 
 

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import re
 
 import pytest
 
-from wproj.cli import main
+from wproj.cli import _jobs, main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -36,6 +41,62 @@ class TestExitCodes:
     def test_usage_error_length_mismatch(self, capsys):
         code, _, _ = run(capsys, "wgcd", "--weights", "2,4", "--tuple", "1:2:3")
         assert code == 2
+
+    def test_parser_errors_are_usage_errors(self, capsys):
+        for argv in (
+            ["height", "--weights", "1,2,x", "--point", "1:2:3"],
+            ["height", "--weights", "1,2,3", "--point", "1/0:1:1"],
+            ["height", "--weights", "1,2,3", "--point", "1:2"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert "usage error" in err
+
+    def test_parsed_domain_failures_are_domain_errors(self, capsys):
+        for argv in (
+            ["height", "--weights", "1,0,3", "--point", "1:2:3"],
+            ["height", "--weights", "1,2,3", "--point", "0:0:0"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert err.splitlines()[-1].startswith("error:")
+
+
+class TestJobs:
+    SEARCH = ["search", "--weights", "2,3", "--bound", "1"]
+
+    def test_env_value_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("WPROJ_JOBS", "abc")
+        code, out, err = run(capsys, *self.SEARCH)
+        assert code == 2
+        assert "WPROJ_JOBS" in err and "'abc'" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_values_not_positive_integers(self, capsys, monkeypatch):
+        for value in ("0", "-3", "x"):
+            code, out, err = run(capsys, *self.SEARCH, "--jobs", value)
+            assert code == 2, value
+            assert "positive integer" in err and "Traceback" not in err
+        monkeypatch.setenv("WPROJ_JOBS", "0")
+        code, _, err = run(capsys, *self.SEARCH)
+        assert code == 2 and "positive integer" in err
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [_jobs(v) for v in ("1", "3", "4", "1000")] == [1, 3, 3, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _jobs("8") == 1
+
+
+class TestReadme:
+    def test_wpoly_example_passes_poly_check(self, capsys, tmp_path):
+        blocks = re.findall(r"```\n(weights:.*?)```", README.read_text(), re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.wpoly"
+        path.write_text(blocks[0])
+        code, out, _ = run(capsys, "poly-check", "--poly", str(path))
+        assert code == 0
+        assert out.splitlines()[1].startswith("degree 6: ")
 
 
 class TestOutputExamples:

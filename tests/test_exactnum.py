@@ -13,10 +13,6 @@ from wproj.exactnum import (
     FormalLog,
     Place,
     factor,
-    flog_combine,
-    flog_compare,
-    flog_max,
-    flog_min,
     ord_at,
     ord_plus,
     prime_to_S,
@@ -94,20 +90,18 @@ class TestFormalLog:
         assert half_log4 == FormalLog.of_log(2)
         assert FormalLog.of_log(2) + FormalLog.of_log(3) == FormalLog.of_log(6)
         assert FormalLog.of_log(6) - FormalLog.of_log(2) == FormalLog.of_log(3)
-        assert flog_combine(
-            [(Fraction(1, 2), FormalLog.of_log(4))]
+        assert FormalLog.zero() + FormalLog.of_log(4).scale(
+            Fraction(1, 2)
         ) == FormalLog.of_log(2)
 
     def test_compare_examples(self):
-        assert flog_compare(FormalLog.of_log(3), FormalLog.of_log(2)) > 0
+        assert FormalLog.of_log(3).compare(FormalLog.of_log(2)) > 0
         assert (
-            flog_compare(
-                FormalLog.of_log(9).scale(Fraction(1, 2)), FormalLog.of_log(3)
-            )
+            FormalLog.of_log(9).scale(Fraction(1, 2)).compare(FormalLog.of_log(3))
             == 0
         )
         # log 2 + log 3 vs log 5: 6 > 5
-        assert flog_compare(FormalLog.of_log(6), FormalLog.of_log(5)) > 0
+        assert FormalLog.of_log(6).compare(FormalLog.of_log(5)) > 0
 
     def test_close_comparison_certified(self):
         # 2^1000000 barely exceeds e^693147: tight but decidable
@@ -125,8 +119,12 @@ class TestFormalLog:
 
     def test_min_max(self):
         a, b = FormalLog.of_log(2), FormalLog.of_log(3)
-        assert flog_min(a, b) == a
-        assert flog_max(a, b) == b
+        assert min(a, b) == a
+        assert max(a, b) == b
+        # ties keep the first argument
+        c = FormalLog.of_log(9).scale(Fraction(1, 2))
+        d = FormalLog.of_log(3)
+        assert max(c, d) is c and min(c, d) is c
 
     def test_floor_of_quotient(self):
         assert FormalLog.of_log(32).floor_of_quotient(2) == 1  # 5 log2 / 2 = 1.73
@@ -161,10 +159,10 @@ class TestFormalLog:
         ]
         for a in vals[:10]:
             for b in vals[10:20]:
-                assert flog_compare(a, b) == -flog_compare(b, a)
+                assert a.compare(b) == -b.compare(a)
                 for c in vals[20:]:
-                    if flog_compare(a, b) <= 0 and flog_compare(b, c) <= 0:
-                        assert flog_compare(a, c) <= 0
+                    if a.compare(b) <= 0 and b.compare(c) <= 0:
+                        assert a.compare(c) <= 0
 
 
 class TestValuations:

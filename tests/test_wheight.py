@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wproj import (
     INFINITE_PLACE,
@@ -21,8 +24,10 @@ from wproj import (
     lwh,
     normalize,
     split_height_S,
+    wgcd_tuple,
     wh_m_power,
 )
+from wproj.wheight import _support_primes
 
 
 def _random_point(rng, w, radius=100):
@@ -30,6 +35,57 @@ def _random_point(rng, w, radius=100):
         coords = tuple(rng.randint(-radius, radius) for _ in w.q)
         if any(c != 0 for c in coords):
             return WPoint(w, coords)
+
+
+def _support_primes_of_product(coords):
+    """Reference: the primes of the product of the nonzero values."""
+    prod = 1
+    for c in coords:
+        if c != 0:
+            prod *= abs(c)
+    return [] if prod == 1 else sorted(sympy.primefactors(prod))
+
+
+def _hwgcd_by_definition(xs, q):
+    """Reference: prod_p p^{min_i floor(max(v_p(x_i), 0) / q_i)} over x_i != 0,
+    with v_p read from sympy's factorizations of numerator and denominator."""
+    nz = [(abs(x), qi) for x, qi in zip(xs, q) if x != 0]
+    primes = set()
+    for x, _ in nz:
+        primes |= set(sympy.factorint(x.numerator)) | set(sympy.factorint(x.denominator))
+    out = 1
+    for p in primes:
+        vals = []
+        for x, qi in nz:
+            v = sympy.factorint(x.numerator).get(p, 0)
+            v -= sympy.factorint(x.denominator).get(p, 0)
+            vals.append(max(v, 0) // qi)
+        out *= p ** min(vals)
+    return out
+
+
+_WEIGHTS = [(1, 2, 3), (2, 4, 6, 10), (1, 1), (2, 3)]
+
+# integers rich in repeated small primes, so that weighted gcds above 1 occur
+_SMOOTH_INTS = st.builds(
+    lambda s, b, e, r: s * b**e * r,
+    st.sampled_from([1, -1]),
+    st.sampled_from([2, 3, 6, 10]),
+    st.integers(0, 12),
+    st.integers(0, 50),
+)
+
+
+@st.composite
+def _rational_tuples(draw):
+    q = draw(st.sampled_from(_WEIGHTS))
+    xs = [
+        Fraction(draw(_SMOOTH_INTS), draw(st.sampled_from([1, 1, 2, 9, 25, 7**3])))
+        for _ in q
+    ]
+    if all(x == 0 for x in xs):
+        xs[0] = Fraction(1)
+    return xs, classify(q)
 
 
 class TestLocalHeight:
@@ -74,6 +130,17 @@ class TestLwh:
         for _ in range(300):
             x = _random_point(rng, w, 3000)
             assert lwh(x) == lwh(normalize(x))
+
+    def test_support_primes_match_product_reference(self):
+        rng = random.Random(23)
+        cases = [[], [0, 0], [1, -1], [0, 12, -18], [2**40, 3**25, 0, 1]]
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            cases.append(
+                [rng.choice([0, 1, rng.randint(-(10**6), 10**6)]) for _ in range(n)]
+            )
+        for values in cases:
+            assert _support_primes(values) == _support_primes_of_product(values)
 
 
 class TestWhMPower:
@@ -137,6 +204,14 @@ class TestHwgcd:
         for _ in range(500):
             x = _random_point(rng, w, 2000)
             assert FormalLog.of_log(hwgcd_mult(x.coords, w)) == log_hwgcd_point(x)
+
+    @given(_rational_tuples())
+    @settings(max_examples=300, deadline=None)
+    def test_mult_is_wgcd_of_numerators(self, case):
+        # max(v_p(a/b), 0) = v_p(a) for a/b in lowest terms
+        xs, w = case
+        g = wgcd_tuple([x.numerator for x in xs], w.q)
+        assert hwgcd_mult(xs, w) == g == _hwgcd_by_definition(xs, w.q)
 
     def test_rational_tuple_archimedean_floor(self):
         w = classify([2, 3])

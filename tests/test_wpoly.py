@@ -8,8 +8,8 @@ from wproj import (
     INFINITE_PLACE,
     DomainError,
     FormalLog,
+    ParseError,
     Place,
-    PolyParseError,
     SubschemeSpec,
     WPoint,
     classify,
@@ -35,19 +35,19 @@ class TestParse:
         assert len(f.terms) == 2
 
     def test_inhomogeneous(self):
-        with pytest.raises(PolyParseError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_poly("x0 + x1", {"x0": 1, "x1": 2})
         msg = str(exc.value)
         assert "degree 1" in msg and "degree 2" in msg
 
     def test_unknown_variable(self):
-        with pytest.raises(PolyParseError, match="unknown variable"):
+        with pytest.raises(ParseError, match="unknown variable"):
             parse_poly("x0 y", {"x0": 1})
 
     def test_syntax_error_position(self):
-        with pytest.raises(PolyParseError, match="position"):
+        with pytest.raises(ParseError, match="position"):
             parse_poly("x0 + %", {"x0": 1})
-        with pytest.raises(PolyParseError, match="position"):
+        with pytest.raises(ParseError, match="position"):
             parse_poly("x0^", {"x0": 1})
 
     def test_products_and_coefficients(self):
@@ -58,7 +58,7 @@ class TestParse:
         assert g.eval((2, 3)) == -6 + 32
 
     def test_zero_polynomial_rejected(self):
-        with pytest.raises(PolyParseError, match="zero"):
+        with pytest.raises(ParseError, match="zero"):
             parse_poly("x0 - x0", {"x0": 1})
 
     def test_duplicate_monomials_combine(self):
@@ -147,12 +147,17 @@ a^4
         assert polys[1].degree == 4
 
     def test_errors(self):
-        with pytest.raises(PolyParseError, match="weights"):
+        with pytest.raises(ParseError, match="weights"):
             parse_wpoly_file("a^2\n")
-        with pytest.raises(PolyParseError, match="duplicate"):
+        with pytest.raises(ParseError, match="duplicate"):
             parse_wpoly_file("weights: a=1\nweights: a=2\n\na\n")
-        with pytest.raises(PolyParseError, match="no polynomials"):
+        with pytest.raises(ParseError, match="no polynomials"):
             parse_wpoly_file("weights: a=1\n")
+
+    def test_non_integer_weight_entry(self):
+        for header in ("weights: a=x", "weights: a", "weights: a="):
+            with pytest.raises(ParseError, match="bad weights entry"):
+                parse_wpoly_file(header + "\n\na\n")
 
 
 class TestSubschemeHeights:
@@ -248,7 +253,7 @@ class TestSubschemeHeights:
                     continue
                 try:
                     polys.append(parse_poly(" + ".join(terms), W123))
-                except PolyParseError:
+                except ParseError:
                     continue
             if len(polys) != 2:
                 continue
