@@ -15,7 +15,6 @@ from .exactnum import (
     factor,
     ord_at,
     ord_plus,
-    prime_to_S,
 )
 from .wspace import (
     WeightVector,

@@ -359,7 +359,6 @@ def _cmd_search(args) -> None:
         "bound": str(B),
         "hypersurface": None if poly is None else str(poly),
         "nonvanishing": sorted(nonvanishing),
-        "jobs": args.jobs,
         "phase1_candidates": report.phase1_candidates,
         "phase2_candidates": report.phase2_candidates,
         "wall_time_seconds": round(report.wall_time, 3),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 import mpmath
 import sympy
@@ -346,13 +346,3 @@ def ord_plus(alpha: Rational, place: Place):
     v = ord_at(alpha, place)
     return v if v.sign() > 0 else FormalLog.zero()
 
-
-def prime_to_S(x: int, S: Iterable[int]) -> int:
-    """Largest divisor of |x| coprime to every prime in S."""
-    if x == 0:
-        raise DomainError("prime-to-S part of 0")
-    n = abs(x)
-    for p in set(S):
-        while n % p == 0:
-            n //= p
-    return n

@@ -177,11 +177,12 @@ def _scan_box(terms, ranges, jobs: int) -> tuple[list[tuple[int, ...]], int]:
     if jobs <= 1 or len(ranges[0]) < 2:
         return _scan_chunk((terms, ranges))
     first = ranges[0]
-    chunks = [first[k::jobs] for k in range(jobs)]
-    work = [(terms, [c] + list(ranges[1:])) for c in chunks if c]
+    # one worker per nonempty chunk
+    k = min(jobs, len(first))
+    work = [(terms, [first[i::k]] + list(ranges[1:])) for i in range(k)]
     sols: list[tuple[int, ...]] = []
     count = 0
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=k) as pool:
         for part, n in pool.map(_scan_chunk, work):
             sols.extend(part)
             count += n

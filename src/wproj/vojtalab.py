@@ -19,15 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import (
-    INFINITE_PLACE,
-    DomainError,
-    FormalLog,
-    prime_to_S,
-)
-from .wheight import local_height
+from .exactnum import INFINITE_PLACE, DomainError, FormalLog, Place
+from .wheight import local_height, split_height_S
 from .wpoint import WPoint, wgcd_tuple
-from .wpoly import SubschemeSpec
+from .wpoly import SubschemeSpec, _log_gcd_values
 from .wspace import WeightVector
 
 SCHEMA_VERSION = 1
@@ -63,6 +58,8 @@ class ScanConfig:
             raise DomainError("box radii must be positive")
         if self.samples < 1:
             raise DomainError("need at least one sample")
+        for p in self.S:
+            Place(p)  # rejects an entry that is not a prime
 
 
 @dataclass(frozen=True)
@@ -203,25 +200,15 @@ def _sample_tuples(config: ScanConfig) -> list[tuple[int, ...]]:
 
 
 def _make_record(config: ScanConfig, alpha: tuple[int, ...]) -> ScanRecord:
-    values = [f.eval(alpha) for f in config.spec.polys]
-    nonzero = [abs(v) for v in values if v != 0]
-    if not nonzero:
+    lhs = _log_gcd_values([f.eval(alpha) for f in config.spec.polys])
+    if lhs is None:
         return ScanRecord(alpha, True, None, None, None, None)
-    g = math.gcd(*nonzero)
-    lhs = FormalLog.of_log(g) if g > 1 else FormalLog.zero()
-    height_term = local_height(WPoint(config.w, alpha), INFINITE_PLACE)
+    x = WPoint(config.w, alpha)
+    height_term = local_height(x, INFINITE_PLACE)
     if any(a == 0 for a in alpha):
         return ScanRecord(alpha, False, lhs, height_term, None, None)
-    N = 1
-    for a in alpha:
-        N *= a
-    part = prime_to_S(N, config.S)
-    m = config.w.m
-    sunit = (
-        FormalLog.of_log(part).scale(Fraction(1, m))
-        if part > 1
-        else FormalLog.zero()
-    )
+    # the sampler keeps only tuples of wgcd 1, as split_height_S requires
+    sunit = split_height_S(x, config.S).out_S
     r = config.spec.asserted_codim
     margins = []
     for eps in config.epsilon_grid:
@@ -241,16 +228,15 @@ def _record_batch(args) -> list[ScanRecord]:
 def scan(config: ScanConfig) -> ScanReport:
     alphas = _sample_tuples(config)
     if config.jobs > 1 and len(alphas) > 1:
-        k = config.jobs
-        batches = [(config, alphas[i::k]) for i in range(k) if alphas[i::k]]
+        # one worker per nonempty batch
+        k = min(config.jobs, len(alphas))
+        batches = [(config, alphas[i::k]) for i in range(k)]
         with ProcessPoolExecutor(max_workers=k) as pool:
             parts = list(pool.map(_record_batch, batches))
         # reinterleave to the original sample order
         records: list[ScanRecord | None] = [None] * len(alphas)
         for i, part in enumerate(parts):
-            for j, rec in enumerate(part):
-                records[i + j * k] = rec
-        records = [r for r in records if r is not None]
+            records[i::k] = part
     else:
         records = [_make_record(config, a) for a in alphas]
 

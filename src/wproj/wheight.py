@@ -18,7 +18,6 @@ from .exactnum import (
     _int_valuation,
     factor,
     ord_plus,
-    prime_to_S,
 )
 from .wpoint import WPoint, _veronese_image, wgcd_tuple
 from .wspace import WeightVector
@@ -43,17 +42,20 @@ def _argmax_weighted_abs(coords: Sequence[int], q: Sequence[int], m: int) -> int
     return best
 
 
+def _weighted_min_valuation(x: WPoint, p: int) -> Fraction:
+    """min_i v_p(x_i)/q_i over the nonzero coordinates."""
+    return min(
+        Fraction(_int_valuation(abs(xi), p), qi)
+        for xi, qi in zip(x.coords, x.w.q)
+        if xi != 0
+    )
+
+
 def local_height(x: WPoint, place: Place) -> FormalLog:
     """log max_i |x_i|_v^{1/q_i} at one place, exactly."""
-    q = x.w.q
     if place.is_finite:
-        p = place.p
-        c = min(
-            Fraction(_int_valuation(abs(xi), p), qi)
-            for xi, qi in zip(x.coords, q)
-            if xi != 0
-        )
-        return FormalLog.of_prime(p, -c)
+        return FormalLog.of_prime(place.p, -_weighted_min_valuation(x, place.p))
+    q = x.w.q
     i = _argmax_weighted_abs(x.coords, q, x.w.m)
     return FormalLog.of_log(abs(x.coords[i])).scale(Fraction(1, q[i]))
 
@@ -151,38 +153,34 @@ def split_height_S(
     """S-split height for a multiset of coordinate hyperplanes H_i.
 
     divisor lists coordinate indices (default: all of them, i.e. -K_X).
-    With N = product of the divisor coordinates, the per-place local term
-    is (1/m) v_p(N) log p; the archimedean nu+ term vanishes on integer
-    coordinates, so in_S + out_S = (1/m) log|N| and
-    out_S = (1/m) log |N|'_S exactly.
+    The per-place local term is (1/m) sum_i v_p(x_i) log p over the
+    divisor; the archimedean nu+ term vanishes on integer coordinates, so
+    in_S + out_S = (1/m) log|N| for N the product of the divisor
+    coordinates, and out_S = (1/m) log |N|'_S exactly.  Each coordinate is
+    factored on its own; N is never formed.
     """
+    S = set(S)
+    for p in S:
+        Place(p)  # rejects an entry that is not a prime
     if x.cached_wgcd != 1:
         raise DomainError("split_height_S expects a normalized point")
     idx = list(range(len(x.coords))) if divisor is None else list(divisor)
     if not idx:
         raise DomainError("empty divisor")
-    N = 1
+    exps: dict[int, int] = {}  # v_p(N) = sum_i v_p(x_i)
     for i in idx:
         if x.coords[i] == 0:
             raise DomainError(
                 f"coordinate {i} vanishes on the divisor support: infinite height"
             )
-        N *= x.coords[i]
-    S = set(S)
-    m = x.w.m
-    out_part = prime_to_S(N, S)
-    out = (
-        FormalLog.of_log(out_part).scale(Fraction(1, m))
-        if out_part > 1
-        else FormalLog.zero()
+        for p, e in factor(x.coords[i]).factors:
+            exps[p] = exps.get(p, 0) + e
+    k = Fraction(1, x.w.m)
+    primes = sorted(exps)
+    return SplitHeight(
+        in_S=FormalLog({p: exps[p] * k for p in primes if p in S}),
+        out_S=FormalLog({p: exps[p] * k for p in primes if p not in S}),
     )
-    in_part = abs(N) // out_part
-    in_ = (
-        FormalLog.of_log(in_part).scale(Fraction(1, m))
-        if in_part > 1
-        else FormalLog.zero()
-    )
-    return SplitHeight(in_S=in_, out_S=out)
 
 
 def classical_height_log(coords: Sequence[int]) -> FormalLog:

@@ -8,8 +8,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .exactnum import DomainError, ParseError, Rational, _int_valuation, factor
 from .wspace import WeightVector
 
@@ -53,7 +51,7 @@ def integralize(coords: Sequence[Rational], w: WeightVector) -> WPoint:
         raise DomainError("all-zero point")
     lam = 1
     denoms = math.lcm(*(x.denominator for x in xs))
-    for p in sympy.primefactors(denoms):
+    for p, _ in factor(denoms).factors:
         e = 0
         for x, q in zip(xs, w.q):
             if x == 0:

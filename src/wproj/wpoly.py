@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactnum import (
@@ -17,7 +16,7 @@ from .exactnum import (
     Place,
     _int_valuation,
 )
-from .wheight import _argmax_weighted_abs, _support_primes
+from .wheight import _support_primes, _weighted_min_valuation, local_height
 from .wpoint import WPoint
 from .wspace import WeightVector
 
@@ -263,40 +262,41 @@ class SubschemeSpec:
             raise DomainError("polynomials must share variables and weights")
 
 
+def _log_gcd_values(values: Sequence[int]) -> FormalLog | None:
+    """log gcd of the nonzero values; None when every value is 0."""
+    nonzero = [abs(v) for v in values if v != 0]
+    if not nonzero:
+        return None
+    g = math.gcd(*nonzero)
+    return FormalLog.of_log(g) if g > 1 else FormalLog.zero()
+
+
+def _local_height_Y_values(
+    spec: SubschemeSpec, x: WPoint, values: Sequence[int], place: Place
+) -> FormalLog | None:
+    """local_height_Y from the values f_j(x), evaluated once by the caller."""
+    terms = [(f.degree, v) for f, v in zip(spec.polys, values) if v != 0]
+    if not terms:
+        return None
+    if place.is_finite:
+        p = place.p
+        c = _weighted_min_valuation(x, p)
+        return FormalLog.of_prime(
+            p, min(_int_valuation(abs(v), p) - d * c for d, v in terms)
+        )
+    # archimedean: -log(|f_j| / max_i |x_i|^{d_j/q_i})
+    log_max = local_height(x, INFINITE_PLACE)
+    return min(log_max.scale(d) - FormalLog.of_log(v) for d, v in terms)
+
+
 def local_height_Y(spec: SubschemeSpec, x: WPoint, place: Place) -> FormalLog | None:
     """Local height of x relative to the subscheme, at one place:
     min_j { -log( |f_j(x)|_v / max_i |x_i|_v^{d_j/q_i} ) }.
 
     Returns None (the infinite sentinel) when every f_j vanishes at x.
     """
-    q = x.w.q
     values = [f.eval(x.coords) for f in spec.polys]
-    if all(v == 0 for v in values):
-        return None
-    if place.is_finite:
-        p = place.p
-        cmin = min(
-            Fraction(_int_valuation(abs(xi), p), qi)
-            for xi, qi in zip(x.coords, q)
-            if xi != 0
-        )
-        best: Fraction | None = None
-        for f, val in zip(spec.polys, values):
-            if val == 0:
-                continue
-            e = Fraction(_int_valuation(abs(val), p)) - f.degree * cmin
-            best = e if best is None else min(best, e)
-        return FormalLog.of_prime(p, best)
-    # archimedean: -log(|f_j| / max_i |x_i|^{d_j/q_i})
-    i = _argmax_weighted_abs(x.coords, q, x.w.m)
-    log_max = FormalLog.of_log(abs(x.coords[i])).scale(Fraction(1, q[i]))
-    best_fl: FormalLog | None = None
-    for f, val in zip(spec.polys, values):
-        if val == 0:
-            continue
-        term = log_max.scale(f.degree) - FormalLog.of_log(val)
-        best_fl = term if best_fl is None else min(best_fl, term)
-    return best_fl
+    return _local_height_Y_values(spec, x, values, place)
 
 
 def global_height_Y(spec: SubschemeSpec, x: WPoint) -> FormalLog:
@@ -304,9 +304,9 @@ def global_height_Y(spec: SubschemeSpec, x: WPoint) -> FormalLog:
     values = [f.eval(x.coords) for f in spec.polys]
     if all(v == 0 for v in values):
         raise DomainError("point lies on the subscheme: infinite height")
-    total = local_height_Y(spec, x, INFINITE_PLACE)
+    total = _local_height_Y_values(spec, x, values, INFINITE_PLACE)
     for p in _support_primes(values + list(x.coords)):
-        total = total + local_height_Y(spec, x, Place(p))
+        total = total + _local_height_Y_values(spec, x, values, Place(p))
     return total
 
 
@@ -323,12 +323,10 @@ def log_gcd_Y(
     """
     if require_unit_content and math.gcd(*alpha) != 1:
         raise DomainError("coordinates must have gcd 1 (or pass require_unit_content=False)")
-    values = [f.eval(alpha) for f in spec.polys]
-    nonzero = [abs(v) for v in values if v != 0]
-    if not nonzero:
+    lhs = _log_gcd_values([f.eval(alpha) for f in spec.polys])
+    if lhs is None:
         raise DomainError("all defining polynomials vanish")
-    g = math.gcd(*nonzero)
-    return FormalLog.of_log(g) if g > 1 else FormalLog.zero()
+    return lhs
 
 
 def log_gcd_residual(spec: SubschemeSpec, x: WPoint) -> FormalLog:
@@ -338,11 +336,11 @@ def log_gcd_residual(spec: SubschemeSpec, x: WPoint) -> FormalLog:
     hypothesis the identity only holds up to a bounded error, and this is
     that error, reported rather than asserted away.
     """
-    total = FormalLog.zero()
     values = [f.eval(x.coords) for f in spec.polys]
+    lhs = _log_gcd_values(values)
+    if lhs is None:
+        raise DomainError("point lies on the subscheme")
+    total = FormalLog.zero()
     for p in _support_primes(values + list(x.coords)):
-        lam = local_height_Y(spec, x, Place(p))
-        if lam is None:
-            raise DomainError("point lies on the subscheme")
-        total = total + lam
-    return log_gcd_Y(spec, x.coords, require_unit_content=False) - total
+        total = total + _local_height_Y_values(spec, x, values, Place(p))
+    return lhs - total

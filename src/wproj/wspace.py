@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import sympy
-
 from .exactnum import DomainError, ParseError
 
 
@@ -106,14 +104,12 @@ def well_formalize(
 def is_singular(w: WeightVector, coords: Sequence[int]) -> bool:
     """Membership in the singular locus of a well-formed weighted space.
 
-    True iff some prime p | m divides q_i for every index i with x_i != 0.
+    True iff some prime p | m divides q_i for every index i with x_i != 0,
+    that is, iff the gcd of the weights on the support exceeds 1 (a prime
+    dividing that gcd divides some q_i, hence m).
     """
     if not w.well_formed:
         raise DomainError("singular-locus test requires well-formed weights")
     if all(x == 0 for x in coords):
         raise DomainError("all-zero point")
-    support = [i for i, x in enumerate(coords) if x != 0]
-    for p in sympy.primefactors(w.m):
-        if all(w.q[i] % p == 0 for i in support):
-            return True
-    return False
+    return math.gcd(*(qi for qi, x in zip(w.q, coords) if x != 0)) > 1

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -86,6 +87,42 @@ class TestJobs:
         assert [_jobs(v) for v in ("1", "3", "4", "1000")] == [1, 3, 3, 3]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _jobs("8") == 1
+
+    def test_pool_size_is_chunk_count(self, capsys, monkeypatch, tmp_path):
+        sizes = []
+
+        class RecordingPool:
+            """Runs the work in this process, recording the pool size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for module in ("wproj.search", "wproj.vojtalab"):
+            monkeypatch.setattr(
+                importlib.import_module(module), "ProcessPoolExecutor", RecordingPool
+            )
+        # the phase-1 box of P(1,1) at B = 1 has 3 values of x0
+        code, _, _ = run(capsys, "search", "--weights", "1,1", "--bound", "1", "--jobs", "8")
+        assert (code, sizes) == (0, [3])
+        sizes.clear()
+        poly = tmp_path / "z.wpoly"
+        poly.write_text("weights: x0=1 x1=2 x2=3\n\nx1\n\nx2\n")
+        code, _, _ = run(
+            capsys, "vojta-scan", "--weights", "1,2,3", "--poly", str(poly),
+            "--codim", "2", "--eps", "1/2", "--delta", "1/2", "--samples", "3",
+            "--box", "5,5,5", "--seed", "1", "--jobs", "8",
+        )
+        assert (code, sizes) == (0, [3])
 
 
 class TestReadme:
@@ -282,6 +319,21 @@ class TestSearchCommand:
         assert {tuple(p["coords"]) for p in doc["points"]} == {(0, 1), (1, 0)}
         assert doc["phase1_candidates"] == 25
 
+    def test_json_report_independent_of_jobs(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        docs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run(
+                capsys, "search", "--weights", "2,3", "--bound", "1",
+                "--format", "json", "--jobs", jobs,
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert "jobs" not in doc
+            del doc["wall_time_seconds"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     def test_require_nonzero_by_name(self, capsys, tmp_path):
         poly = tmp_path / "f.wpoly"
         poly.write_text("weights: a=1 b=1\n\na b\n")
@@ -367,3 +419,26 @@ class TestVojtaScanCommand:
     def test_codim_one_rejected(self, capsys, z_file):
         code, _, err = run(capsys, *self._argv(z_file, **{"--codim": "1"}))
         assert code == 1
+
+
+class TestPrimesMustBePrimes:
+    def test_split_height(self, capsys):
+        for value in ("1", "0", "-1", "4"):
+            code, out, err = run(
+                capsys, "split-height", "--weights", "1,1", "--point", "2:3",
+                "--primes", value,
+            )
+            assert (code, out) == (1, ""), value
+            assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+
+    def test_vojta_scan(self, capsys, tmp_path):
+        poly = tmp_path / "z.wpoly"
+        poly.write_text("weights: x0=1 x1=2 x2=3\n\nx1\n\nx2\n")
+        for value in ("1", "0", "-1", "4"):
+            code, out, err = run(
+                capsys, "vojta-scan", "--weights", "1,2,3", "--poly", str(poly),
+                "--codim", "2", "--primes", value, "--eps", "1/2", "--delta", "1/2",
+                "--samples", "5", "--box", "5,5,5", "--seed", "1",
+            )
+            assert (code, out) == (1, ""), value
+            assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err

@@ -15,7 +15,6 @@ from wproj.exactnum import (
     factor,
     ord_at,
     ord_plus,
-    prime_to_S,
 )
 
 
@@ -208,19 +207,3 @@ class TestValuations:
             # sum of finite ord*log p  equals  log|a|; archimedean closes to 0
             assert finite == FormalLog.of_log(a)
 
-
-class TestPrimeToS:
-    def test_examples(self):
-        assert prime_to_S(720, {2, 3}) == 5
-        assert prime_to_S(720, set()) == 720
-        assert prime_to_S(-32, {2}) == 1
-        with pytest.raises(DomainError):
-            prime_to_S(0, {2})
-
-    def test_multiplicative(self):
-        rng = random.Random(9)
-        for _ in range(1000):
-            x = rng.randint(1, 10**6)
-            y = rng.randint(1, 10**6)
-            S = {2, 3, 7}
-            assert prime_to_S(x * y, S) == prime_to_S(x, S) * prime_to_S(y, S)

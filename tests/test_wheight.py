@@ -64,6 +64,24 @@ def _hwgcd_by_definition(xs, q):
     return out
 
 
+def _split_height_of_product(x, S, divisor):
+    """Reference: (1/m) log of the S-part and the prime-to-S part of the
+    product N of the divisor coordinates."""
+    N = 1
+    for i in divisor:
+        N *= abs(x.coords[i])
+    out = N
+    for p in S:
+        while out % p == 0:
+            out //= p
+    k = Fraction(1, x.w.m)
+
+    def log_scaled(n):
+        return FormalLog.of_log(n).scale(k) if n > 1 else FormalLog.zero()
+
+    return log_scaled(N // out), log_scaled(out)
+
+
 _WEIGHTS = [(1, 2, 3), (2, 4, 6, 10), (1, 1), (2, 3)]
 
 # integers rich in repeated small primes, so that weighted gcds above 1 occur
@@ -86,6 +104,24 @@ def _rational_tuples(draw):
     if all(x == 0 for x in xs):
         xs[0] = Fraction(1)
     return xs, classify(q)
+
+
+@st.composite
+def _split_cases(draw):
+    """A normalized point with nonzero coordinates, a divisor multiset and
+    S empty, holding some small primes, or holding every prime of N."""
+    w = classify(draw(st.sampled_from(_WEIGHTS)))
+    coords = [draw(_SMOOTH_INTS.filter(bool)) for _ in w.q]
+    x = normalize(WPoint(w, tuple(coords)))
+    divisor = draw(st.lists(st.integers(0, len(w.q) - 1), min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["empty", "some", "all"]))
+    if kind == "empty":
+        S = set()
+    elif kind == "some":
+        S = set(draw(st.lists(st.sampled_from([2, 3, 5, 7, 11]), max_size=3)))
+    else:
+        S = {p for c in x.coords for p in sympy.primefactors(abs(c))} | {13}
+    return x, S, divisor
 
 
 class TestLocalHeight:
@@ -252,6 +288,19 @@ class TestSplitHeight:
                 else FormalLog.zero()
             )
             assert sh.total() == expect
+
+    @given(_split_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_product_reference(self, case):
+        # same values and the same sorted-prime coefficient order, hence the
+        # same decimal renderings, as factoring the product N
+        x, S, divisor = case
+        sh = split_height_S(x, S, divisor)
+        ref_in, ref_out = _split_height_of_product(x, S, divisor)
+        for got, ref in ((sh.in_S, ref_in), (sh.out_S, ref_out)):
+            assert got == ref
+            assert list(got.coeffs) == list(ref.coeffs)
+        assert sh.total().decimal(30) == (ref_in + ref_out).decimal(30)
 
     def test_divisor_subset(self):
         w = classify([1, 2, 3])

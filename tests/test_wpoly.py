@@ -12,6 +12,7 @@ from wproj import (
     Place,
     SubschemeSpec,
     WPoint,
+    WPoly,
     classify,
     global_height_Y,
     local_height_Y,
@@ -266,6 +267,25 @@ class TestSubschemeHeights:
             x = WPoint(w, coords)
             assert self._finite_sum(spec, x) == log_gcd_Y(spec, coords)
             done += 1
+
+    def test_each_polynomial_evaluated_once(self, monkeypatch):
+        calls = []
+        evaluate = WPoly.eval
+
+        def counted(self, point):
+            calls.append(self)
+            return evaluate(self, point)
+
+        monkeypatch.setattr(WPoly, "eval", counted)
+        spec = SubschemeSpec(
+            (parse_poly("x1^3 - x2^2", W123), parse_poly("x0 x2 + 5 x1^2", W123)), 2
+        )
+        w = classify([1, 2, 3])
+        for coords in [(1, 4, 8), (6, -10, 15), (2, 3, 7), (12, 144, 1728)]:
+            for fn in (global_height_Y, log_gcd_residual):
+                calls.clear()
+                fn(spec, WPoint(w, coords))
+                assert calls == list(spec.polys), (fn.__name__, coords)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from wproj import (
     DomainError,
@@ -140,3 +141,23 @@ class TestSingular:
         w = classify([1, 1, 1])
         for coords in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 4)]:
             assert is_singular(w, coords) is False
+
+    def test_matches_primefactors_definition(self):
+        # gcd of the support weights > 1 against: some prime p | m divides
+        # every weight on the support
+        rng = random.Random(31)
+        checked = 0
+        while checked < 500:
+            w = classify([rng.randint(1, 30) for _ in range(rng.randint(2, 5))])
+            if not w.well_formed:
+                continue
+            coords = [rng.choice([0, 0, 1, -7]) for _ in w.q]
+            if not any(coords):
+                continue
+            support = [i for i, c in enumerate(coords) if c != 0]
+            expect = any(
+                all(w.q[i] % p == 0 for i in support)
+                for p in sympy.primefactors(w.m)
+            )
+            assert is_singular(w, coords) is expect
+            checked += 1
