@@ -532,10 +532,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value is a point, a tuple or a rational and may start with a
+# minus sign.  argparse reads "-12:360:7000:99" as an option, because only a
+# plain negative number passes for a value, so main() attaches such a value
+# to its option as "--point=-12:360:7000:99", a form argparse always accepts.
+_SIGNED_VALUE_OPTIONS = frozenset(
+    {"--point", "--tuple", "--left", "--right", "--a", "--b"}
+)
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        negative = token[:1] == "-" and token[1:2].isdigit()
+        if negative and out and out[-1] in _SIGNED_VALUE_OPTIONS:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_signed_values(sys.argv[1:] if argv is None else list(argv))
+        )
     except SystemExit as exc:
         return int(exc.code or 0)
     print(

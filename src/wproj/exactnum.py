@@ -3,11 +3,14 @@
 Everything downstream (heights, gcds, the scan harness) is built on three
 things defined here: prime factorizations, places of Q, and ``FormalLog`` --
 an exact representation of  c + sum_p c_p * log p  with rational c, c_p.
-No height in this package is ever a float; decimals are renderings only.
+No height in this package is ever a float: decimals are renderings, and the
+one float evaluation (the first rung of FormalLog's comparisons) decides
+nothing without a proven error bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,14 +108,62 @@ def _as_fraction(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+_ZERO = Fraction(0)
+
+# The precision of the float rung at the bottom of FormalLog's ladder.
+_FLOAT_PREC = 53
+
+# The float rung gives up on a nonzero rational below this magnitude; see
+# FormalLog._interval for why every rounding then stays in the normal range.
+_FLOAT_TINY = 2.0**-960
+
+_WHOLE_LINE = (-math.inf, math.inf)
+
+
+@functools.cache
+def _log_enclosure(p: int) -> tuple[float, float]:
+    """(L, w) with L <= log p <= L + w: the lower end of mpmath's 53-bit
+    interval enclosure of log p, and the interval's width.
+
+    Both ends of a 53-bit enclosure are doubles, so the conversions are
+    exact, and so is the width (Sterbenz: hi <= 2 lo since log p >= log 2).
+    Not math.log, which is not guaranteed to be correctly rounded.
+    """
+    iv = mpmath.iv
+    old = iv.prec
+    try:
+        iv.prec = _FLOAT_PREC
+        lo_raw, hi_raw = iv.log(p)._mpi_
+    finally:
+        iv.prec = old
+    lo, hi = (float(Fraction(*mpmath.libmp.to_rational(e))) for e in (lo_raw, hi_raw))
+    return lo, hi - lo
+
+
+@functools.cache
+def _log_mpf(p: int, prec: int) -> mpmath.mpf:
+    """mpmath.log(p) at a binary working precision.  decimal() renders
+    thousands of values over a handful of primes, and the value depends on
+    nothing else, so it is computed once per (p, precision)."""
+    with mpmath.workprec(prec):
+        return mpmath.log(p)
+
+
 class FormalLog:
     """Exact value  const + sum_p coeffs[p] * log p  with rational parts.
 
-    The primes' logs together with 1 are linearly independent over Q, so
-    equality of represented real values is coefficient-wise equality.
-    Strict ordering is decided by interval arithmetic at doubling precision;
-    it terminates because a formal difference that is not identically zero
-    represents a nonzero real.
+    Every key of ``coeffs`` must be a prime: the public constructors raise
+    DomainError on any other key.  The primes' logs together with 1 are
+    then linearly independent over Q, so equality of represented real
+    values is coefficient-wise equality, and a formal difference that is
+    not identically zero represents a nonzero real.
+
+    Strict ordering (``sign``) and ``floor_of_quotient`` are decided on a
+    ladder of enclosing intervals (``_interval``).  Its first rung is a
+    53-bit float evaluation with a proven error bound; when that interval
+    does not decide, mpmath interval arithmetic takes over at 106 bits and
+    doubles the precision until it does.  The ladder terminates because
+    the represented value is nonzero, or irrational when a floor is asked.
     """
 
     __slots__ = ("coeffs", "const", "_hash")
@@ -125,14 +176,30 @@ class FormalLog:
         pruned: dict[int, Fraction] = {}
         if coeffs:
             for p, c in coeffs.items():
+                p = int(p)
+                Place(p)  # rejects a key that is not a prime
                 c = _as_fraction(c)
                 if c != 0:
-                    pruned[int(p)] = c
-        object.__setattr__(self, "coeffs", pruned)
-        object.__setattr__(self, "const", _as_fraction(const))
-        object.__setattr__(self, "_hash", None)
+                    pruned[p] = c
+        self.coeffs = pruned
+        self.const = _as_fraction(const)
+        self._hash = None
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _from_pruned(
+        cls, coeffs: dict[int, Fraction], const: Fraction = _ZERO
+    ) -> "FormalLog":
+        """Wrap coefficients that are already nonzero Fractions on prime
+        keys, and a Fraction constant, as they are: no conversion, pruning
+        or primality test.  For the arithmetic below and for callers whose
+        keys come from ``factor`` or a ``Place``."""
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        self.const = const
+        self._hash = None
+        return self
 
     @classmethod
     def zero(cls) -> "FormalLog":
@@ -144,12 +211,11 @@ class FormalLog:
         alpha = _as_fraction(alpha)
         if alpha == 0:
             raise DomainError("log of 0")
-        coeffs: dict[int, Fraction] = {}
-        for p, e in factor(alpha.numerator).factors:
-            coeffs[p] = coeffs.get(p, Fraction(0)) + e
+        # numerator and denominator are coprime: no prime appears twice
+        coeffs = {p: Fraction(e) for p, e in factor(alpha.numerator).factors}
         for p, e in factor(alpha.denominator).factors:
-            coeffs[p] = coeffs.get(p, Fraction(0)) - e
-        return cls(coeffs)
+            coeffs[p] = Fraction(-e)
+        return cls._from_pruned(coeffs)
 
     @classmethod
     def of_prime(cls, p: int, coefficient: Rational = 1) -> "FormalLog":
@@ -164,20 +230,32 @@ class FormalLog:
     def __add__(self, other: "FormalLog") -> "FormalLog":
         coeffs = dict(self.coeffs)
         for p, c in other.coeffs.items():
-            coeffs[p] = coeffs.get(p, Fraction(0)) + c
-        return FormalLog(coeffs, self.const + other.const)
+            s = coeffs.get(p)
+            if s is None:
+                coeffs[p] = c
+                continue
+            s += c
+            if s:
+                coeffs[p] = s
+            else:
+                del coeffs[p]
+        return FormalLog._from_pruned(coeffs, self.const + other.const)
 
     def __sub__(self, other: "FormalLog") -> "FormalLog":
         return self + (-other)
 
     def __neg__(self) -> "FormalLog":
-        return FormalLog({p: -c for p, c in self.coeffs.items()}, -self.const)
+        return FormalLog._from_pruned(
+            {p: -c for p, c in self.coeffs.items()}, -self.const
+        )
 
     def scale(self, k: Rational) -> "FormalLog":
         k = _as_fraction(k)
         if k == 0:
             return FormalLog()
-        return FormalLog({p: k * c for p, c in self.coeffs.items()}, k * self.const)
+        return FormalLog._from_pruned(
+            {p: k * c for p, c in self.coeffs.items()}, k * self.const
+        )
 
     __mul__ = scale
     __rmul__ = scale
@@ -196,14 +274,14 @@ class FormalLog:
         h = self._hash
         if h is None:
             h = hash((tuple(sorted(self.coeffs.items())), self.const))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     def sign(self) -> int:
         """Certified sign of the represented real value (-1, 0, +1)."""
         if not self.coeffs:
             return -1 if self.const < 0 else (1 if self.const > 0 else 0)
-        prec = 64
+        prec = _FLOAT_PREC
         while True:
             lo, hi = self._interval(prec)
             if lo > 0:
@@ -229,8 +307,81 @@ class FormalLog:
     def __ge__(self, other: "FormalLog") -> bool:
         return self.compare(other) >= 0
 
-    def _interval(self, prec: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-        """Enclosing interval of the real value at the given binary precision."""
+    def _interval(self, prec: int) -> tuple[float, float] | tuple[Fraction, Fraction]:
+        """(lo, hi) with lo <= value <= hi, at the given binary precision.
+
+        At prec > _FLOAT_PREC the ends are the exact rational ends of
+        mpmath's interval arithmetic at that precision.  At prec ==
+        _FLOAT_PREC they are floats, from a float evaluation whose error
+        bound is proven here.
+
+        Write u = 2**-53 and k = len(coeffs), fl(.) for round-to-nearest,
+        x0 = fl(const) and a_p = fl(c_p) (``Fraction.__float__`` is an
+        int/int true division, which CPython rounds correctly), (L_p, w_p)
+        = ``_log_enclosure(p)``, so L_p <= log p <= L_p + w_p, and
+        t_p = fl(a_p * L_p).  The rung computes, in floats and in order,
+
+            s   = x0 + t_1 + ... + t_k          (left to right)
+            A   = |x0| + |t_1| + ... + |t_k|
+            W   = |a_1| w_1 + ... + |a_k| w_k
+            err = (4k + 8) * 2**-52 * A + 2 W
+
+        and returns (fl(s - err), fl(s + err)).  It returns (-inf, inf)
+        instead when a conversion overflows, when s is not finite, or when
+        a nonzero const or c_p converts to a float below 2**-960 in
+        magnitude (0 and subnormals included).  Otherwise every a_p, x0
+        and t_p (L_p >= log 2 > 1/2), every |a_p| w_p (w_p, a nonzero gap
+        between doubles near L_p, is at least 2**-53) and the first term
+        of err are normal, so each conversion and product obeys
+        fl(x) = x/(1 + d) with |d| <= u (Higham, *Accuracy and Stability
+        of Numerical Algorithms*, (2.5)), and each addition obeys
+        fl(a + b) = (a + b)(1 + d), which holds with underflow too
+        because a subnormal sum is exact.
+
+        Bound.  Let V be the value and A, W the exact reals of the
+        formulas above on the computed terms.
+          (1) |x0 - const| <= u|x0|; and, writing c_p log p - a_p L_p =
+              (c_p - a_p) log p + a_p (log p - L_p) with |c_p - a_p| <=
+              u|a_p|, log p <= L_p + w_p and |a_p L_p| <= (1 + u)|t_p|,
+              |t_p - c_p log p| <= (2u + u^2)|t_p| + (1 + u)|a_p| w_p.
+          (2) Recursive summation of k + 1 terms errs by at most
+              gamma_k A, gamma_k = ku/(1 - ku) <= 2ku (Higham, (4.4)).
+          (3) Rounding s -+ err moves it by at most u(|s| + err), and
+              |s| <= (1 + gamma_k) A.
+        So fl(s - err) <= V <= fl(s + err) as soon as
+              (1 - u) err >= (gamma_k + 3u + u gamma_k + u^2) A + (1 + u) W,
+        which (2k + 4) u A + (1 + u) W covers.  The computed err is made of
+        sums and products of nonnegative doubles, each term passing through
+        at most k + 2 roundings, and of scalings by 2 and by the exact
+        double (4k + 8) * 2**-52, so
+              (1 - u) err >= (1 - u)^(k+3) ((8k + 16) u A + 2 W),
+        which is at least 0.999 ((8k + 16) u A + 2 W) for k <= 2**40 and
+        so exceeds the requirement on both terms.  Hence every decision
+        taken on these floats (lo > 0, hi < 0, floor(lo) == floor(hi)) is
+        a decision about V.
+        """
+        if prec == _FLOAT_PREC:
+            try:
+                s = float(self.const)
+                if self.const and abs(s) < _FLOAT_TINY:
+                    return _WHOLE_LINE
+                mag = abs(s)
+                width = 0.0
+                for p, c in self.coeffs.items():
+                    a = float(c)
+                    if abs(a) < _FLOAT_TINY:
+                        return _WHOLE_LINE
+                    log_p, w = _log_enclosure(p)
+                    t = a * log_p
+                    s += t
+                    mag += abs(t)
+                    width += abs(a) * w
+            except OverflowError:
+                return _WHOLE_LINE
+            if not math.isfinite(s):
+                return _WHOLE_LINE
+            err = (4 * len(self.coeffs) + 8) * 2.0**-52 * mag + 2.0 * width
+            return s - err, s + err
         iv = mpmath.iv
         old = iv.prec
         try:
@@ -241,8 +392,12 @@ class FormalLog:
             lo_raw, hi_raw = total._mpi_
         finally:
             iv.prec = old
-        # endpoints as plain mpf values, exactly (no re-rounding)
-        return mpmath.mpf(lo_raw), mpmath.mpf(hi_raw)
+        # exact rationals: mpmath.mpf(raw) would round the ends to the
+        # working precision, which can move them across an integer
+        return (
+            Fraction(*mpmath.libmp.to_rational(lo_raw)),
+            Fraction(*mpmath.libmp.to_rational(hi_raw)),
+        )
 
     def floor_of_quotient(self, q: int) -> int:
         """floor(value / q) for a positive integer q, exactly certified.
@@ -256,13 +411,13 @@ class FormalLog:
         if not self.coeffs:
             return math.floor(self.const / q)
         scaled = self.scale(Fraction(1, q))  # exact; intervals stay conservative
-        prec = 64
+        prec = _FLOAT_PREC
         while True:
             lo, hi = scaled._interval(prec)
-            flo = mpmath.floor(lo)
-            fhi = mpmath.floor(hi)
-            if flo == fhi:
-                return int(flo)
+            if lo > -math.inf and hi < math.inf:  # else the float rung gave up
+                flo = math.floor(lo)
+                if flo == math.floor(hi):
+                    return flo
             prec *= 2
 
     # -- renderings ---------------------------------------------------------
@@ -273,9 +428,10 @@ class FormalLog:
     def decimal(self, digits: int = 15) -> str:
         """Decimal rendering with the requested significant digits."""
         with mpmath.workdps(digits + 10):
+            prec = mpmath.mp.prec
             total = mpmath.mpf(self.const.numerator) / self.const.denominator
             for p, c in self.coeffs.items():
-                total += mpmath.log(p) * mpmath.mpf(c.numerator) / c.denominator
+                total += _log_mpf(p, prec) * mpmath.mpf(c.numerator) / c.denominator
             return mpmath.nstr(total, digits, strip_zeros=False)
 
     def symbolic(self) -> str:

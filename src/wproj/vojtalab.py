@@ -249,16 +249,22 @@ def scan(config: ScanConfig) -> ScanReport:
         for delta in config.delta_grid:
             considered = 0
             violating = []
+            # empirical_C = max(0, max of lhs - rhs): only violations, where
+            # lhs - rhs > 0, can raise it above 0.  One sign per record, and
+            # one comparison per violation; ties keep the first maximum.
             worst: FormalLog | None = None
             for rec in records:
                 m = rec.margin_at(eps, delta)
                 if m is None:
                     continue
                 considered += 1
-                neg = -m  # lhs - rhs
-                worst = neg if worst is None else max(worst, neg)
                 if m.sign() < 0:
                     violating.append(rec.alpha)
+                    neg = -m  # lhs - rhs
+                    if worst is None or neg > worst:
+                        worst = neg
+            if considered and worst is None:
+                worst = FormalLog.zero()
             cells.append(
                 CellSummary(
                     eps=eps,
@@ -266,9 +272,7 @@ def scan(config: ScanConfig) -> ScanReport:
                     considered=considered,
                     violations=len(violating),
                     violating_alphas=tuple(sorted(violating)),
-                    empirical_C=None
-                    if worst is None
-                    else max(worst, FormalLog.zero()),
+                    empirical_C=worst,
                 )
             )
     return ScanReport(
@@ -333,11 +337,6 @@ def exceptional_candidates(report: ScanReport) -> list[ExceptionalCandidate]:
         if rec.margins is None:
             continue
         if not all(m.sign() < 0 for _, _, m in rec.margins):
-            continue
-        # re-verify from scratch before listing
-        fresh = _make_record(report.config, rec.alpha)
-        assert fresh.margins is not None
-        if not all(m.sign() < 0 for _, _, m in fresh.margins):
             continue
         n = len(rec.alpha)
         pairs = tuple(

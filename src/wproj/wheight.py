@@ -54,7 +54,9 @@ def _weighted_min_valuation(x: WPoint, p: int) -> Fraction:
 def local_height(x: WPoint, place: Place) -> FormalLog:
     """log max_i |x_i|_v^{1/q_i} at one place, exactly."""
     if place.is_finite:
-        return FormalLog.of_prime(place.p, -_weighted_min_valuation(x, place.p))
+        # a Place holds a prime, so the key needs no second primality test
+        v = _weighted_min_valuation(x, place.p)
+        return FormalLog._from_pruned({place.p: -v} if v else {})
     q = x.w.q
     i = _argmax_weighted_abs(x.coords, q, x.w.m)
     return FormalLog.of_log(abs(x.coords[i])).scale(Fraction(1, q[i]))
@@ -177,9 +179,10 @@ def split_height_S(
             exps[p] = exps.get(p, 0) + e
     k = Fraction(1, x.w.m)
     primes = sorted(exps)
+    # keys from factor are primes and every exponent is positive
     return SplitHeight(
-        in_S=FormalLog({p: exps[p] * k for p in primes if p in S}),
-        out_S=FormalLog({p: exps[p] * k for p in primes if p not in S}),
+        in_S=FormalLog._from_pruned({p: exps[p] * k for p in primes if p in S}),
+        out_S=FormalLog._from_pruned({p: exps[p] * k for p in primes if p not in S}),
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -442,3 +443,60 @@ class TestPrimesMustBePrimes:
             )
             assert (code, out) == (1, ""), value
             assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+
+
+class TestNegativeLeadingCoordinate:
+    """A value such as -12:360:7000:99 is not a plain negative number, so
+    argparse would read it as an option; it must reach the command as a
+    value, the same as in the --point=-12:... form."""
+
+    CASES = [
+        ["split-height", "--weights", "2,4,6,10", "--point", "-12:360:7000:99"],
+        ["height", "--weights", "2,3", "--point", "-8:-27"],
+        ["wgcd", "--weights", "2,4", "--tuple", "-8:16"],
+        ["equals", "--weights", "2,3", "--left", "-1:1", "--right", "-4:8"],
+        ["hgcd", "--a", "-3/4", "--b", "6"],
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=[c[0] for c in CASES])
+    def test_same_as_attached_form(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        attached = argv[:1] + [
+            f"{opt}={val}" for opt, val in zip(argv[1::2], argv[2::2])
+        ]
+        assert run(capsys, *attached)[:2] == (0, out)
+
+    def test_values(self, capsys):
+        code, out, _ = run(capsys, *self.CASES[0])
+        assert out.splitlines()[0] == "in_S: 0 = 0.0"
+        assert run(capsys, *self.CASES[2])[1].strip() == "2"
+        assert run(capsys, *self.CASES[3])[1].strip() == "true"
+
+
+# vojta-scan with the benchmark's scan-111 arguments at 200 samples:
+# Y = [1:1:1] in P(1,2,3), S = {2}, a 2 x 2 grid, box 1000^3.  The
+# SHA-256 of each report was recorded before comparisons gained their float
+# rung; a change in any digit or any decided comparison changes it.
+Y_111 = "weights: x0=1 x1=2 x2=3\n\nx0^2 - x1\n\nx0^3 - x2\n"
+GOLDEN_SCAN_DIGESTS = {
+    1: "33606fd7712e6a1e5de62af3a2fcae81a74ff7a2e42022d80f67d99d0d3514fe",
+    2: "3fe95431a59a956c57b70bdf48b04c954af302c046397540965e98c9a2302f2a",
+    3: "07529828f0be3c9e9734b819af3d91e91f81e88fb6e6731f6e767b6957111920",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SCAN_DIGESTS))
+def test_vojta_scan_report_digest(capsys, tmp_path, seed):
+    poly = tmp_path / "Y.wpoly"
+    poly.write_text(Y_111)
+    target = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "vojta-scan", "--weights", "1,2,3", "--poly", str(poly),
+        "--codim", "2", "--primes", "2", "--eps", "1/4,1/2", "--delta", "1/4,1/2",
+        "--samples", "200", "--box", "1000,1000,1000", "--seed", str(seed),
+        "--jobs", "1", "--out", str(target),
+    )
+    assert code == 0, err
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SCAN_DIGESTS[seed]

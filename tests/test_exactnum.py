@@ -1,7 +1,12 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,3 +212,174 @@ class TestValuations:
             # sum of finite ord*log p  equals  log|a|; archimedean closes to 0
             assert finite == FormalLog.of_log(a)
 
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Each case hung or crashed before keys were checked: the first two looped
+# forever (log 4 - 2 log 2 is formally nonzero but really 0), the third
+# ended in an OverflowError from mpmath (log 1 = 0).
+NON_PRIME_KEY_CASES = [
+    "(FormalLog({4: 1}) - FormalLog({2: 2})).sign()",
+    "(FormalLog({4: 1}) - FormalLog({2: 2})).floor_of_quotient(1)",
+    "FormalLog({1: 1}).sign()",
+    "FormalLog.of_prime(4)",
+    "FormalLog.of_prime(1, 3)",
+]
+
+
+class TestPrimeKeys:
+    def test_non_prime_keys_rejected(self):
+        # one subprocess for all cases, so that a hang fails the test
+        # instead of stalling the run; it prints one line per case
+        script = "from wproj.exactnum import DomainError, FormalLog\n" + "".join(
+            f"try:\n    {expr}\n    print('returned')\n"
+            "except DomainError:\n    print('DomainError')\n"
+            for expr in NON_PRIME_KEY_CASES
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=10,
+            )
+        except subprocess.TimeoutExpired as exc:
+            done = (exc.stdout or b"").count(b"\n")
+            pytest.fail(f"{NON_PRIME_KEY_CASES[done]} did not finish within 10 s")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["DomainError"] * len(NON_PRIME_KEY_CASES)
+
+    def test_prime_keys_accepted(self):
+        assert FormalLog({2: 1, 3: 0}).coeffs == {2: 1}
+        assert FormalLog.of_prime(7, 0).is_zero()
+
+
+# -- the float rung --------------------------------------------------------
+
+REF_DPS = 400
+
+
+def _reference(v: FormalLog) -> mpmath.mpf:
+    """The value at 400 significant digits, with no interval or float code."""
+    with mpmath.workdps(REF_DPS):
+        total = mpmath.mpf(v.const.numerator) / v.const.denominator
+        for p, c in v.coeffs.items():
+            total += mpmath.log(p) * mpmath.mpf(c.numerator) / c.denominator
+        return +total
+
+
+def _ref_sign(v: FormalLog) -> int:
+    r = _reference(v)
+    return (r > 0) - (r < 0)
+
+
+def _ref_floor(v: FormalLog, q: int) -> int:
+    with mpmath.workdps(REF_DPS):
+        return int(mpmath.floor(_reference(v) / q))
+
+
+def _approx_const(coeffs: dict, digits: int) -> Fraction:
+    """A rational that agrees with sum c_p log p to about `digits`
+    significant digits: subtracting it leaves a value far below the float
+    rung's relative resolution of about 2**-49."""
+    with mpmath.workdps(digits + 10):
+        total = mpmath.fsum(mpmath.log(p) * mpmath.mpf(c.numerator) / c.denominator
+                            for p, c in coeffs.items())
+        return Fraction(mpmath.nstr(total, digits + 5, min_fixed=-mpmath.inf,
+                                    max_fixed=mpmath.inf))
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 101, 7919, 1000003]
+
+
+@st.composite
+def formal_logs(draw):
+    keys = draw(st.lists(st.sampled_from(PRIMES), unique=True, max_size=5))
+    scale = draw(st.sampled_from([Fraction(1), Fraction(10**30), Fraction(1, 10**30)]))
+    coeffs = {
+        p: draw(st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6))
+        * scale
+        for p in keys
+    }
+    coeffs = {p: c for p, c in coeffs.items() if c}
+    const = draw(st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6))
+    if coeffs and draw(st.booleans()):
+        # cancel the log part to 20-40 digits: below the rung's resolution
+        const = -_approx_const(coeffs, draw(st.integers(20, 40)))
+    return FormalLog(coeffs, const)
+
+
+class TestFloatRung:
+    @given(formal_logs())
+    @settings(max_examples=200, deadline=None)
+    def test_sign_matches_reference(self, v):
+        assert v.sign() == _ref_sign(v)
+
+    @given(formal_logs(), st.integers(min_value=1, max_value=60))
+    @settings(max_examples=200, deadline=None)
+    def test_floor_of_quotient_matches_reference(self, v, q):
+        assert v.floor_of_quotient(q) == _ref_floor(v, q)
+
+    @staticmethod
+    def _precisions(monkeypatch):
+        seen = []
+        real = FormalLog._interval
+
+        def spy(self, prec):
+            seen.append(prec)
+            return real(self, prec)
+
+        monkeypatch.setattr(FormalLog, "_interval", spy)
+        return seen
+
+    # name, value, sign: each defeats the 53-bit bound and is settled by mpmath
+    ADVERSARIAL = [
+        # convergents p/q of log 3 / log 2: q log 3 - p log 2 is tiny
+        ("convergent-1e7", FormalLog({3: 10781274, 2: -17087915}), -1),
+        ("convergent-4e8", FormalLog({3: 397573379, 2: -630138897}), -1),
+        ("convergent-6e9", FormalLog({3: 6189245291, 2: -9809721694}), 1),
+        # a coefficient too large for a float
+        ("huge-coefficient", FormalLog({2: Fraction(10**400, 3), 3: -1}), 1),
+        # coefficients that convert to 0.0
+        ("tiny-coefficients",
+         FormalLog({2: Fraction(1, 10**400), 3: Fraction(-1, 10**400)}), -1),
+        # log 2 minus its nearest double, given in decimal and exactly
+        ("log2-decimal", FormalLog({2: 1}, -Fraction("0.6931471805599453")), 1),
+        ("log2-double", FormalLog({2: 1}, -Fraction(0.6931471805599453)), 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "v, expected", [c[1:] for c in ADVERSARIAL], ids=[c[0] for c in ADVERSARIAL]
+    )
+    def test_undecided_values_reach_mpmath(self, v, expected, monkeypatch):
+        assert _ref_sign(v) == expected
+        seen = self._precisions(monkeypatch)
+        assert v.sign() == expected
+        assert seen[:2] == [53, 106]
+
+    def test_floor_near_an_integer_reaches_mpmath(self, monkeypatch):
+        # log 2 - fl(log 2) is about 2.3e-17: floor 0, float enclosure [-e, e]
+        v = FormalLog({2: 1}, -Fraction(0.6931471805599453))
+        seen = self._precisions(monkeypatch)
+        assert v.floor_of_quotient(1) == 0
+        assert seen[:2] == [53, 106]
+        seen.clear()
+        assert (-v).floor_of_quotient(1) == -1
+        assert seen[:2] == [53, 106]
+
+    def test_subnormal_coefficient_reaches_mpmath(self, monkeypatch):
+        # (3 log 2 - 2 log 3) * 2**-1074 < 0.  As subnormal floats both
+        # terms round to 2 * 2**-1074 in size and the bound underflows to 0,
+        # so only giving up on such coefficients keeps the float floor from
+        # reading 0.
+        v = FormalLog({2: Fraction(3, 2**1074), 3: Fraction(-2, 2**1074)})
+        seen = self._precisions(monkeypatch)
+        assert v.floor_of_quotient(1) == -1 == _ref_floor(v, 1)
+        assert seen[:2] == [53, 106]
+
+    def test_wide_margin_settled_by_the_rung(self, monkeypatch):
+        # an earlier convergent: about -1.8e-5 against a bound near 1.2e-10
+        v = FormalLog({3: 15601, 2: -24727})
+        seen = self._precisions(monkeypatch)
+        assert v.sign() == -1 == _ref_sign(v)
+        assert seen == [53]
