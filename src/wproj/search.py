@@ -1,18 +1,30 @@
 """Complete enumeration of bounded-weighted-height rational points and
 hypersurface point search.
 
+Canonical forms.  A nonzero integral x with support T, and d_T the gcd of
+the weights on T, is the representative ``wpoint.canonicalize`` returns
+for its point exactly when
+  (i) its level c_p = min_{i in T} v_p(x_i)/q_i is below 1/d_T at every
+      prime p (otherwise lambda = p^{-1/d_T} keeps x integral), and
+  (ii) x is the ``_sign_key`` minimum of its two sign patterns.
+The search builds only such tuples, each once: nothing is deduplicated,
+and no phase-2 candidate is factored or canonicalized.
+
 Completeness strategy (two phases).  Phase 1 scans the base box
 |x_i| <= floor(B^{q_i}), which contains every point whose finite
-local-height factors are trivial.  A canonical point can still satisfy
-wh <= B outside that box when primes divide all of its nonzero
-coordinates ("deflation": the finite places contribute p^{-c_p} with
-c_p = min_i v_p(x_i)/q_i > 0).  Phase 2 enumerates per-prime valuation
-patterns e with 0 < c = min e_i/q_i < 1/d_S (patterns proportional to the
-weights are impossible in that range, so a positive budget gap always
-exists and the admissible primes form a finite list), composing several
-primes recursively over increasing p with a multiplicative budget.  Every
-candidate is then verified exactly, canonicalized, and deduplicated, so
-phase overlap is harmless and soundness never rests on the generator.
+local-height factors are trivial, and keeps its canonical tuples.  A
+canonical point can still satisfy wh <= B outside that box when primes
+divide all of its nonzero coordinates ("deflation": the finite places
+contribute p^{-c_p} with c_p > 0).  Phase 2 enumerates, per support in its
+reduced weights, the deflation profiles: sets of primes with levels
+0 < c < 1 (patterns proportional to the weights are impossible in that
+range, so a positive budget gap always exists and the admissible primes
+form a finite list), composing several primes recursively over increasing
+p with a multiplicative budget.  It keeps the multiple D*y of a residual
+tuple y only when the profile is exactly the point's own and the point
+lies outside the phase-1 box.  ``search`` proves that every canonical
+point of height at most B is then built exactly once; ``_collect`` checks
+wh exactly and applies the sign rule (ii).
 """
 
 from __future__ import annotations
@@ -20,14 +32,16 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import sympy
 
 from .exactnum import DomainError
-from .wpoint import WPoint, _lex_key, _veronese_image, canonicalize
+from .wpoint import (
+    WPoint, _lex_key, _sign_flip, _sign_key, _veronese_image, canonicalize
+)
 from .wpoly import WPoly, _eval_terms
 from .wspace import WeightVector
 
@@ -44,6 +58,11 @@ class SearchConfig:
     phase2: bool = True
 
     def __post_init__(self) -> None:
+        n = len(self.w.q)
+        if any(not 0 <= i < n for i in self.nonvanishing):
+            raise DomainError(f"nonvanishing coordinate indices must lie in 0..{n - 1}")
+        if self.bound < 0:
+            raise DomainError("the bound must be nonnegative")
         if self.hypersurface is not None and self.hypersurface.weights != self.w.q:
             raise DomainError("hypersurface weights do not match the search weights")
 
@@ -79,10 +98,6 @@ def _nth_root_floor(n: int, k: int) -> int:
         raise ValueError
     r, _ = sympy.integer_nthroot(n, k)
     return int(r)
-
-
-def _sort_key(hit_coords: tuple[int, ...], whm: int):
-    return (whm, _lex_key(hit_coords))
 
 
 # ---------------------------------------------------------------------------
@@ -195,42 +210,31 @@ def _scan_box(terms, ranges, jobs: int) -> tuple[list[tuple[int, ...]], int]:
 # ---------------------------------------------------------------------------
 
 
-def _c_candidates(qs: Sequence[int], ds: int) -> list[Fraction]:
-    limit = Fraction(1, ds)
-    out = set()
-    for q in qs:
-        a = 1
-        while Fraction(a, q) < limit:
-            out.add(Fraction(a, q))
-            a += 1
-    return sorted(out)
-
-
 def _deflation_profiles(
-    qs: Sequence[int],
-    ds: int,
-    budgets_m: Sequence[Fraction],
-    m: int,
-    p_min: int,
-) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
-    """All nonempty multi-prime deflation profiles (divisors, residual budgets).
+    qs: Sequence[int], budgets_m: Sequence[Fraction], m: int
+) -> Iterator[tuple]:
+    """All nonempty multi-prime deflation profiles of the reduced weights
+    qs: (divisors, residual budgets, and per prime p of the profile the
+    pair (p, tight)).
 
-    For a deflation level c only the minimal exponents e_i = ceil(q_i c)
-    are needed: any point with higher p-valuation is a multiple of the
-    minimal divisor and already lies inside the residual box.  Per node
-    the largest admissible prime for each c is obtained directly by root
-    extraction from the budgets, so only feasible (p, c) pairs are ever
-    visited.
+    The levels are the c = a/q_i in (0, 1).  For a level c only the minimal
+    exponents e_i = ceil(q_i c) are needed: a point of level c at p is a
+    multiple of the minimal divisor.  ``tight`` lists the indices i with q_i c an integer, the only
+    ones where e_i = q_i c, so the level of D*y at p is exactly c when p
+    divides none of y's tight coordinates.  Per node the largest admissible
+    prime for each c is obtained directly by root extraction from the
+    budgets, so only feasible (p, c) pairs are ever visited.
     """
     levels = []
-    for c in _c_candidates(qs, ds):
+    for c in sorted({Fraction(a, q) for q in qs for a in range(1, q)}):
         e = tuple(-((-q * c.numerator) // c.denominator) for q in qs)  # ceil
         cost = []
         for q, ei in zip(qs, e):
             mc = m * q * c
             assert mc.denominator == 1
             cost.append(m * ei - mc.numerator)
-        levels.append((e, tuple(cost)))
+        tight = tuple(i for i, q in enumerate(qs) if (q * c).denominator == 1)
+        levels.append((e, tuple(cost), tight))
 
     def p_max(cost: tuple[int, ...], budgets: Sequence[Fraction]) -> int:
         # largest p with p^cost_i <= budgets_i for every i; some cost_i > 0
@@ -248,32 +252,28 @@ def _deflation_profiles(
     if not levels:
         # all weights equal after reduction: no fractional deflation exists
         return
-    global_max = max(p_max(cost, budgets_m) for _, cost in levels)
-    if global_max < p_min:
-        return
-    primes = [int(p) for p in sympy.primerange(p_min, global_max + 1)]
+    global_max = max(p_max(cost, budgets_m) for _, cost, _ in levels)
+    primes = [int(p) for p in sympy.primerange(2, global_max + 1)]
 
-    def rec(
-        budgets: tuple[Fraction, ...], start: int
-    ) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
-        bounds = [p_max(cost, budgets) for _, cost in levels]
+    def rec(budgets: tuple[Fraction, ...], start: int) -> Iterator[tuple]:
+        bounds = [p_max(cost, budgets) for _, cost, _ in levels]
         cap = max(bounds)
         for idx in range(start, len(primes)):
             p = primes[idx]
             if p > cap:
                 break
-            for (e, cost), bnd in zip(levels, bounds):
+            for (e, cost, tight), bnd in zip(levels, bounds):
                 if p > bnd:
                     continue
                 new_budgets = tuple(
                     bud / Fraction(p) ** k for bud, k in zip(budgets, cost)
                 )
                 divisors = tuple(p**ei for ei in e)
-                yield divisors, new_budgets
-                for sub_div, sub_bud in rec(new_budgets, idx + 1):
+                yield divisors, new_budgets, ((p, tight),)
+                for sub_div, sub_bud, sub_tight in rec(new_budgets, idx + 1):
                     yield tuple(
                         d * s for d, s in zip(divisors, sub_div)
-                    ), sub_bud
+                    ), sub_bud, ((p, tight),) + sub_tight
 
     yield from rec(tuple(budgets_m), 0)
 
@@ -308,14 +308,26 @@ def _substituted_terms(poly: WPoly | None, support, divisors):
     return terms
 
 
+def _exact_profile(y: tuple[int, ...], profile) -> bool:
+    """Conditions (a) and (b) of ``search``: D*y has level exactly c at
+    each profile prime and level 0 at every other prime."""
+    g = math.gcd(*y)
+    for p, tight in profile:
+        if all(y[i] % p == 0 for i in tight):
+            return False
+        while g % p == 0:
+            g //= p
+    return g == 1
+
+
 def _phase2_candidates(
     w: WeightVector,
     B: Fraction,
     poly: WPoly | None,
-    jobs: int,
     nonvanishing: frozenset[int] = frozenset(),
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Deflation-phase candidates, all supports, actual coordinates.
+    """The canonical points outside the phase-1 box that phase 2 builds,
+    in actual coordinates, and the number of residual-box tuples scanned.
 
     Each support is handled in its reduced weight system q_i/d with bound
     B^d (the rescaling law lwh_{d*q} = (1/d) lwh_q makes this exact): the
@@ -323,6 +335,7 @@ def _phase2_candidates(
     profiles small.
     """
     n = len(w.q)
+    box = [_floor_pow(B, q) for q in w.q]
     out: list[tuple[int, ...]] = []
     count = 0
     for support in itertools.chain.from_iterable(
@@ -336,7 +349,7 @@ def _phase2_candidates(
         Bred = B**d
         m = math.lcm(*qs)
         budgets_m = [Bred ** (m * q) for q in qs]
-        for divisors, residual in _deflation_profiles(qs, 1, budgets_m, m, 2):
+        for divisors, residual, profile in _deflation_profiles(qs, budgets_m, m):
             radii = [_nth_root_floor(b.numerator // b.denominator, m) for b in residual]
             if any(r == 0 for r in radii):
                 continue
@@ -347,48 +360,75 @@ def _phase2_candidates(
             sols, c = _scan_box(terms, ranges, jobs=1)
             count += c
             for y in sols:
+                if not _exact_profile(y, profile):
+                    continue
+                x = [dv * yv for dv, yv in zip(divisors, y)]
+                if all(abs(v) <= box[i] for v, i in zip(x, support)):
+                    continue  # phase 1 holds it
                 full = [0] * n
-                for pos, i in enumerate(support):
-                    full[i] = divisors[pos] * y[pos]
+                for i, v in zip(support, x):
+                    full[i] = v
                 out.append(tuple(full))
     return out, count
 
 
 def _collect(
-    config: SearchConfig, raw_candidates: Iterable[tuple[int, ...]]
+    config: SearchConfig, candidates: Sequence[tuple[int, ...]]
 ) -> list[SearchHit]:
-    """Exact wh filter, canonicalization, dedup, nonvanishing filter, sort."""
+    """Exact wh filter, sign rule, nonvanishing filter, hits, sort.
+
+    Every candidate meets the level rule and lies on the hypersurface, and
+    so does its other sign pattern, which is a candidate too: keeping the
+    ``_sign_key`` minimum keeps each point once.  A canonical point has
+    wgcd 1, so hits are built without factoring.
+    """
     w = config.w
     Bm = config.bound**w.m
-    seen: dict[tuple[int, ...], tuple[WPoint, int]] = {}
-    for coords in raw_candidates:
-        if all(c == 0 for c in coords):
+    hits = []
+    for coords in candidates:
+        if any(coords[i] == 0 for i in config.nonvanishing):
             continue
         whm = max(map(abs, _veronese_image(coords, w)))
         if whm > Bm:
             continue
-        canon = canonicalize(WPoint(w, coords))
-        if canon.coords not in seen:
-            # hypersurface membership survives canonicalization (homogeneity),
-            # but re-verify to keep soundness independent of that argument
-            if config.hypersurface is not None and config.hypersurface.eval(
-                canon.coords
-            ) != 0:
-                continue
-            # wh is invariant under the scaling action: canon has wh^m = whm
-            seen[canon.coords] = (canon, whm)
-    hits = []
-    for coords, (point, whm) in seen.items():
-        if any(coords[i] == 0 for i in config.nonvanishing):
+        if _sign_key(_sign_flip(coords, w.q)) < _sign_key(coords):
             continue
         vanishing = tuple(i for i, c in enumerate(coords) if c == 0)
-        hits.append(SearchHit(point, whm, vanishing))
-    hits.sort(key=lambda h: _sort_key(h.point.coords, h.wh_m))
+        hits.append(SearchHit(WPoint._from_canonical(w, coords), whm, vanishing))
+    hits.sort(key=lambda h: (h.wh_m, _lex_key(h.point.coords)))
     return hits
 
 
 def search(config: SearchConfig) -> SearchReport:
-    """Run the bounded-height search (with or without a hypersurface)."""
+    """Run the bounded-height search (with or without a hypersurface).
+
+    Each canonical point x with wh(x) <= B (on V(f), if given) is built
+    exactly once.  If x lies in the phase-1 box, phase 1 keeps it and
+    phase 2 does not, by (c) below.  Otherwise let T be its support and
+    P(x) the pairs (p, c_p(x)) with c_p(x) > 0, levels taken in the
+    reduced weights q_i/d_T, where canonicity puts them in (0, 1); each is
+    some a/q_i, the ratio at an index attaining the minimum.  Phase 2
+    visits the profile P = P(x) once (its primes increase along the
+    recursion) and builds x = D*y from y = x/D, which is integral since
+    v_p(x_i) >= q_i c_p forces v_p(x_i) >= e_i = ceil(q_i c_p).  y lies in
+    the residual box: in the reduced weights, with bound B^{d_T}, integral
+    x has height max_i |x_i|^{1/q_i} prod_p p^{-c_p}, so wh(x) <= B is
+    exactly |y_i| <= residual radius_i for every i.
+    x is kept when
+      (a) gcd(y) with the profile primes divided out is 1: a prime outside
+          P dividing every y_i would give x a positive level there;
+      (b) at each (p, c) of P some tight index i (q_i c an integer) has
+          p not dividing y_i: the index attaining c_p(x) has
+          v_p(x_i) = q_i c_p = e_i;
+      (c) some |x_i| > floor(B^{q_i}).
+    Conversely, for any profile P and y meeting (a) and (b), x = D*y has
+    level at least c at each (p, c) of P, since e_i >= q_i c, exactly c by
+    (b), and 0 elsewhere by (a).  So P = P(x) and y = x/D: no other profile
+    or residual tuple builds x again, and x is canonical up to its sign
+    pattern.  The other sign pattern eps*x has the same valuations and box
+    status and lies on V(f) as well (f is weighted homogeneous), so
+    ``_collect`` sees both and keeps the ``_sign_key`` minimum.
+    """
     import time
 
     t0 = time.monotonic()
@@ -398,13 +438,18 @@ def search(config: SearchConfig) -> SearchReport:
     if B >= 1:
         terms = config.hypersurface.terms if config.hypersurface else None
         sols, p1_count = _scan_box(terms, _phase1_ranges(w, B), config.jobs)
-        raw = list(sols)
+        # canonical box tuples: with gcd 1 every level is 0 and only the
+        # sign rule is left, which _collect applies
+        candidates = [
+            x for x in sols if any(x)
+            and (math.gcd(*x) == 1 or canonicalize(WPoint(w, x)).coords == x)
+        ]
         if config.phase2:
             extra, p2_count = _phase2_candidates(
-                w, B, config.hypersurface, config.jobs, config.nonvanishing
+                w, B, config.hypersurface, config.nonvanishing
             )
-            raw.extend(extra)
-        hits = _collect(config, raw)
+            candidates.extend(extra)
+        hits = _collect(config, candidates)
     return SearchReport(
         config=config,
         hits=hits,

@@ -29,6 +29,18 @@ class WPoint:
             raise DomainError("WPoint coordinates must be integers")
         object.__setattr__(self, "_wgcd", wgcd_tuple(self.coords, self.w.q))
 
+    @classmethod
+    def _from_canonical(cls, w: WeightVector, coords: tuple[int, ...]) -> "WPoint":
+        """Wrap coordinates already known to be canonical as they are: no
+        checks and no factoring.  A canonical point has wgcd 1 (at every p
+        its level is below 1, so some v_p(x_i) < q_i).  For ``search``,
+        whose generator proves canonicity."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_wgcd", 1)
+        return self
+
     @property
     def cached_wgcd(self) -> int:
         return self._wgcd
@@ -99,20 +111,20 @@ def normalize(x: WPoint) -> WPoint:
     return WPoint(x.w, tuple(c // g**q for c, q in zip(x.coords, x.w.q)))
 
 
-def _support_gcd(x: WPoint) -> int:
-    return math.gcd(*(x.w.q[i] for i in x.support()))
+def _support_gcd(coords: Sequence[int], q: Sequence[int]) -> int:
+    return math.gcd(*(qi for c, qi in zip(coords, q) if c != 0))
 
 
-def _sign_generator(x: WPoint, ds: int) -> tuple[int, ...]:
-    """The generator of the realizable sign group on the point's support.
+def _sign_flip(coords: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The other sign pattern of a point; ds is the weight gcd on its support.
 
     Admissible lambda are eps * prod p^{t_p} with t_p in (1/ds)Z and eps a
     root of unity with every eps^{q_i} rational; the sign patterns realized
-    on the support form the cyclic group generated by ((-1)^{q_i/ds})_i.
+    on the support form the cyclic group generated by ((-1)^{q_i/ds})_i,
+    which has order 2 (some q_i/ds is odd).
     """
-    return tuple(
-        (-1) ** (q // ds) if c != 0 else 1 for c, q in zip(x.coords, x.w.q)
-    )
+    ds = _support_gcd(coords, q)
+    return tuple(-c if (qi // ds) % 2 else c for c, qi in zip(coords, q))
 
 
 def _lex_key(coords: Sequence[int]) -> tuple:
@@ -136,7 +148,7 @@ def canonicalize(x: WPoint) -> WPoint:
     Stage 2 picks the lexicographically smallest of the <= 2 sign patterns
     reachable by roots of unity.  Idempotent; equivalent inputs agree.
     """
-    ds = _support_gcd(x)
+    ds = _support_gcd(x.coords, x.w.q)
     coords = list(x.coords)
     q = x.w.q
     nz = [(i, abs(c)) for i, c in enumerate(coords) if c != 0]
@@ -152,9 +164,7 @@ def canonicalize(x: WPoint) -> WPoint:
             nz = [(i, abs(coords[i])) for i, _ in nz]
     stage1 = tuple(coords)
     # stage 2: sign reduction
-    gen = _sign_generator(x, ds)
-    flipped = tuple(s * c for s, c in zip(gen, stage1))
-    best = min(stage1, flipped, key=_sign_key)
+    best = min(stage1, _sign_flip(stage1, q), key=_sign_key)
     return WPoint(x.w, best)
 
 

@@ -353,6 +353,35 @@ class TestSearchCommand:
         body = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert body == ["1:0  wh^1=1"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--require-nonzero=5",),
+            ("--require-nonzero=-1",),
+            ("--require-nonzero=0,2",),
+            ("--bound", "-1"),
+            ("--bound=-1/2",),
+        ],
+    )
+    def test_out_of_range_input_exits_1(self, capsys, args):
+        # an index outside 0..n-1 raised IndexError (5) or silently dropped
+        # phase 2 (-1); a negative bound printed the header "wh^6 <= 1"
+        argv = ["search", "--weights", "2,3", "--bound", "2", *args]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    def test_require_nonzero_index_with_poly(self, capsys, tmp_path):
+        poly = tmp_path / "f.wpoly"
+        poly.write_text("weights: a=1 b=1\n\na b\n")
+        code, out, _ = run(
+            capsys, "search", "--weights", "1,1", "--bound", "2",
+            "--poly", str(poly), "--require-nonzero", "2",
+        )
+        assert code == 1
+        assert out == ""
+
     def test_poly_weight_mismatch(self, capsys, tmp_path):
         poly = tmp_path / "f.wpoly"
         poly.write_text("weights: a=2 b=3\n\na^3\n")
@@ -500,3 +529,28 @@ def test_vojta_scan_report_digest(capsys, tmp_path, seed):
     assert code == 0, err
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
     assert digest == GOLDEN_SCAN_DIGESTS[seed]
+
+
+# search --format json, recorded before the search built canonical points
+# directly (it canonicalized and deduplicated every candidate).  The
+# wall_time_seconds line, the one field that varies between runs, is cut.
+GOLDEN_SEARCH_DIGESTS = {
+    ("2,3", "2"): "6ce0357a9316c89506254eaa199ddd683943b19555000a6c5a3f056289c7cbd1",
+    ("2,3", "9/4"): "92e70a30d407b55520878d8de3b33a6fc69bd06310a9153445026d9bee1f22c6",
+    ("2,4,6,10", "9/8"): "4fb1c6b6c0ba190c699a1e4d33e19472c26856d4a380bdfb9bec06a5c6bd9815",
+    ("2,4,6,10", "9/8", "--no-phase2"):
+        "8f316a5f5916b0645a5f02c75ba24cfcece6a0236ba7a2f8bf53a7170a8dd661",
+    ("1,2,3", "3/2"): "a28c035e2bf2c1e55c0da8995258068b25967a321b74672511eaddf9ef775fdf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SEARCH_DIGESTS))
+def test_search_report_digest(capsys, case):
+    weights, bound, *more = case
+    code, out, err = run(
+        capsys, "search", "--weights", weights, "--bound", bound, "--jobs", "1",
+        "--format", "json", *more,
+    )
+    assert code == 0, err
+    text = re.sub(r'\n  "wall_time_seconds": [^\n]*', "", out)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SEARCH_DIGESTS[case]

@@ -1,7 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wproj import (
     DomainError,
@@ -13,11 +17,17 @@ from wproj import (
 )
 from wproj.search import (
     SearchConfig,
+    SearchHit,
+    _nth_root_floor,
+    _phase1_ranges,
+    _scan_box,
+    _substituted_terms,
     brute_force_oracle,
     enumerate_bounded,
     search,
     search_hypersurface,
 )
+from wproj.wpoint import _lex_key, _veronese_image, wgcd_tuple
 
 
 def _coords(points):
@@ -95,14 +105,29 @@ class TestSoundnessAndOracle:
         ((1, 2, 3), Fraction(3, 2)),
     ]
 
-    @pytest.mark.parametrize("q,B", CASES)
+    @pytest.mark.parametrize(
+        "q,B",
+        CASES
+        + [
+            ((2, 4, 6, 10), Fraction(9, 8)),
+            ((2, 2, 3), Fraction(3, 2)),
+            ((4, 6), Fraction(5, 4)),
+        ],
+    )
     def test_soundness(self, q, B):
+        # hits are built without factoring: each must still be its own
+        # canonical form, of wgcd 1 (also as cached), and listed once
         w = classify(q)
         Bm = B**w.m
-        for h in search(SearchConfig(w, B)).hits:
-            assert h.wh_m == wh_m_power(h.point)
-            assert h.wh_m <= Bm
-            assert canonicalize(h.point).coords == h.point.coords
+        for phase2 in (True, False):
+            hits = search(SearchConfig(w, B, phase2=phase2)).hits
+            for h in hits:
+                assert h.wh_m == wh_m_power(h.point)
+                assert h.wh_m <= Bm
+                assert canonicalize(h.point).coords == h.point.coords
+                assert wgcd_tuple(h.point.coords, w.q) == 1 == h.point.cached_wgcd
+                assert h.point == WPoint(w, h.point.coords)
+            assert len({h.point.coords for h in hits}) == len(hits)
 
     @pytest.mark.parametrize("q,B", CASES)
     def test_contains_all_in_box_points(self, q, B):
@@ -190,3 +215,195 @@ class TestReportCounters:
         # |x0| <= 2, |x1| <= 4: 5 * 9 candidates
         assert rep.phase1_candidates == 45
         assert rep.wall_time >= 0
+
+
+# ---------------------------------------------------------------------------
+# reference: the search as it was before it built canonical points directly.
+# Phase 2 yields every multiple D*y of every profile; every candidate is
+# canonicalized and deduplicated afterwards.
+# ---------------------------------------------------------------------------
+
+
+def _reference_profiles(qs, budgets_m, m):
+    levels = []
+    for c in sorted({Fraction(a, q) for q in qs for a in range(1, q)}):
+        e = tuple(-((-q * c.numerator) // c.denominator) for q in qs)
+        cost = []
+        for q, ei in zip(qs, e):
+            mc = m * q * c
+            assert mc.denominator == 1
+            cost.append(m * ei - mc.numerator)
+        levels.append((e, tuple(cost)))
+
+    def p_max(cost, budgets):
+        best = None
+        for k, bud in zip(cost, budgets):
+            if k == 0:
+                continue
+            if bud < 1:
+                return 0
+            r = _nth_root_floor(bud.numerator // bud.denominator, k)
+            best = r if best is None else min(best, r)
+        return best
+
+    if not levels:
+        return
+    global_max = max(p_max(cost, budgets_m) for _, cost in levels)
+    if global_max < 2:
+        return
+    primes = [int(p) for p in sympy.primerange(2, global_max + 1)]
+
+    def rec(budgets, start):
+        bounds = [p_max(cost, budgets) for _, cost in levels]
+        cap = max(bounds)
+        for idx in range(start, len(primes)):
+            p = primes[idx]
+            if p > cap:
+                break
+            for (e, cost), bnd in zip(levels, bounds):
+                if p > bnd:
+                    continue
+                new_budgets = tuple(
+                    bud / Fraction(p) ** k for bud, k in zip(budgets, cost)
+                )
+                divisors = tuple(p**ei for ei in e)
+                yield divisors, new_budgets
+                for sub_div, sub_bud in rec(new_budgets, idx + 1):
+                    yield tuple(d * s for d, s in zip(divisors, sub_div)), sub_bud
+
+    yield from rec(tuple(budgets_m), 0)
+
+
+def _reference_phase2(w, B, poly, nonvanishing):
+    n = len(w.q)
+    out = []
+    for support in itertools.chain.from_iterable(
+        itertools.combinations(range(n), k) for k in range(2, n + 1)
+    ):
+        if not nonvanishing <= set(support):
+            continue
+        d = math.gcd(*(w.q[i] for i in support))
+        qs = [w.q[i] // d for i in support]
+        m = math.lcm(*qs)
+        budgets_m = [(B**d) ** (m * q) for q in qs]
+        for divisors, residual in _reference_profiles(qs, budgets_m, m):
+            radii = [_nth_root_floor(b.numerator // b.denominator, m) for b in residual]
+            if any(r == 0 for r in radii):
+                continue
+            ranges = [[y for y in range(-r, r + 1) if y != 0] for r in radii]
+            terms = _substituted_terms(poly, support, divisors)
+            sols, _ = _scan_box(terms, ranges, 1)
+            for y in sols:
+                full = [0] * n
+                for pos, i in enumerate(support):
+                    full[i] = divisors[pos] * y[pos]
+                out.append(tuple(full))
+    return out
+
+
+def _reference_collect(config, raw_candidates):
+    w = config.w
+    Bm = config.bound**w.m
+    seen = {}
+    for coords in raw_candidates:
+        if all(c == 0 for c in coords):
+            continue
+        whm = max(map(abs, _veronese_image(coords, w)))
+        if whm > Bm:
+            continue
+        canon = canonicalize(WPoint(w, coords))
+        if canon.coords not in seen:
+            if config.hypersurface is not None and config.hypersurface.eval(
+                canon.coords
+            ) != 0:
+                continue
+            seen[canon.coords] = (canon, whm)
+    hits = []
+    for coords, (point, whm) in seen.items():
+        if any(coords[i] == 0 for i in config.nonvanishing):
+            continue
+        vanishing = tuple(i for i, c in enumerate(coords) if c == 0)
+        hits.append(SearchHit(point, whm, vanishing))
+    hits.sort(key=lambda h: (h.wh_m, _lex_key(h.point.coords)))
+    return hits
+
+
+def _reference_search(config):
+    w, B = config.w, config.bound
+    if B < 1:
+        return []
+    terms = config.hypersurface.terms if config.hypersurface else None
+    raw, _ = _scan_box(terms, _phase1_ranges(w, B), 1)
+    if config.phase2:
+        raw = raw + _reference_phase2(
+            w, B, config.hypersurface, config.nonvanishing
+        )
+    return _reference_collect(config, raw)
+
+
+def _summary(hits):
+    return [(h.point.coords, h.wh_m, h.vanishing) for h in hits]
+
+
+# hypersurfaces by weight vector: a monomial, a binomial and a trinomial,
+# each weighted homogeneous
+_POLYS = {
+    (1, 2): ["x0^2 - x1", "x0 x1"],
+    (2, 3): ["x0^3 - x1^2", "x0^3 + x1^2"],
+    (1, 2, 3): ["x0^3 - x2", "x0 x1 - x2", "x0^6 + x1^3 - 2 x2^2"],
+    (2, 2, 3): ["x0^3 - x2^2", "x0 - x1"],
+    (2, 4, 6): ["x0^2 - x1", "x0 x1 - x2"],
+    (1, 1, 2): ["x0 x1 - x2", "x0^2 + x1^2 - x2"],
+    (4, 6): ["x0^3 - x1^2"],
+}
+
+
+@st.composite
+def _search_configs(draw):
+    q = draw(st.sampled_from(sorted(_POLYS) + [(1, 1), (1, 3), (2, 4, 6, 10), (1, 2, 3, 5)]))
+    B = draw(st.sampled_from([Fraction(1), Fraction(9, 8), Fraction(5, 4), Fraction(4, 3),
+                              Fraction(3, 2), Fraction(7, 4), Fraction(2)]))
+    w = classify(q)
+    poly = None
+    if q in _POLYS and draw(st.booleans()):
+        names = {f"x{i}": qi for i, qi in enumerate(q)}
+        poly = parse_poly(draw(st.sampled_from(_POLYS[q])), names)
+    nonvanishing = frozenset(
+        draw(st.sets(st.integers(0, len(q) - 1), max_size=len(q) - 1))
+    )
+    return SearchConfig(
+        w, B, hypersurface=poly, nonvanishing=nonvanishing, phase2=draw(st.booleans())
+    )
+
+
+def _cost(config):
+    """Phase-1 box volume times a weight-lcm factor: a cheap proxy that
+    keeps the slow reference below about a second per example."""
+    vol = 1
+    for q in config.w.q:
+        r = config.bound**q
+        vol *= 2 * (r.numerator // r.denominator) + 1
+    return vol * (config.bound ** config.w.m if config.phase2 else 1)
+
+
+class TestAgainstReference:
+    @given(_search_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_same_hits_as_reference(self, config):
+        assume(_cost(config) <= 20_000)
+        assert _summary(search(config).hits) == _summary(_reference_search(config))
+
+    @pytest.mark.parametrize(
+        "q,B,phase2",
+        [
+            ((2, 3), Fraction(2), True),
+            ((2, 3), Fraction(2), False),
+            ((2, 4, 6, 10), Fraction(9, 8), True),
+            ((2, 2, 3), Fraction(3, 2), True),
+            ((4, 6), Fraction(5, 4), True),
+            ((1, 2, 3, 5), Fraction(5, 4), True),
+        ],
+    )
+    def test_fixed_cases(self, q, B, phase2):
+        config = SearchConfig(classify(q), B, phase2=phase2)
+        assert _summary(search(config).hits) == _summary(_reference_search(config))
