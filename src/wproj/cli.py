@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -414,10 +415,9 @@ def _cmd_vojta_scan(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, out=True) -> None:
+def _add_common(sp) -> None:
     sp.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    if out:
-        sp.add_argument("--out", default=None, help="write output to a file")
+    sp.add_argument("--out", default=None, help="write output to a file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,20 +532,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Options whose value is a point, a tuple or a rational and may start with a
-# minus sign.  argparse reads "-12:360:7000:99" as an option, because only a
-# plain negative number passes for a value, so main() attaches such a value
-# to its option as "--point=-12:360:7000:99", a form argparse always accepts.
-_SIGNED_VALUE_OPTIONS = frozenset(
-    {"--point", "--tuple", "--left", "--right", "--a", "--b"}
-)
-
-
+# argparse reads a value such as "-12:360:7000:99" or "-1/2" as an option,
+# because only a plain negative number passes for a value, so main() attaches
+# a token made of a minus sign and a digit to the option before it, as in
+# "--point=-12:360:7000:99", a form argparse always accepts.
 def _attach_signed_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     for token in argv:
         negative = token[:1] == "-" and token[1:2].isdigit()
-        if negative and out and out[-1] in _SIGNED_VALUE_OPTIONS:
+        if negative and out and re.fullmatch(r"--\w[\w-]*", out[-1]):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -46,6 +46,9 @@ from .wpoly import WPoly, _eval_terms
 from .wspace import WeightVector
 
 _FAST_PATH_VOLUME = 5_000
+# the largest prime below 2^26, and the entries in one block of the sieve
+_SIEVE_PRIME = 67_108_859
+_SIEVE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -114,62 +117,51 @@ def _scan_box_exact(terms, ranges) -> list[tuple[int, ...]]:
 
 
 def _scan_box_fast(terms, ranges) -> list[tuple[int, ...]]:
-    """Float prefilter along the longest axis, with exact confirmation.
-
-    For exact zeros the float evaluation error is far below the threshold
-    (relative ~1e-14 of the largest term), so no root is missed; flagged
-    near-zeros are re-evaluated exactly.
-    """
+    """Sieve modulo P = _SIEVE_PRIME along the longest axis, then confirm
+    over Z: an integer zero is zero mod P, so no root is missed.  Residues
+    are below 2^26 and (P-1) + 2^11 (P-1)^2 < 2^63, so int64 sums of 2^11
+    products cannot overflow between reductions."""
     import numpy as np
 
+    P = _SIEVE_PRIME
     axis = max(range(len(ranges)), key=lambda i: len(ranges[i]))
-    wvals = np.array(ranges[axis], dtype=np.float64)
-    wpow: dict[int, object] = {}
-    grouped: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for coeff, exps in terms:
-        rest = exps[:axis] + exps[axis + 1 :]
-        grouped.setdefault(exps[axis], []).append((coeff, rest))
-    for e in grouped:
-        wpow[e] = wvals**e
-    other_ranges = ranges[:axis] + ranges[axis + 1 :]
+    xs = ranges[axis]
+    others = ranges[:axis] + ranges[axis + 1 :]
+    shape = tuple(len(r) for r in others)
+    split = [
+        (exps[axis], coeff % P, exps[:axis] + exps[axis + 1 :]) for coeff, exps in terms
+    ]
+
+    def powers(values, exps):
+        # v^e mod P per value, for the exponents that occur
+        return {e: np.array([pow(v, e, P) for v in values], dtype=np.int64) for e in exps}
+
+    tables = [powers(r, {rest[k] for _, _, rest in split}) for k, r in enumerate(others)]
+    # fibre coefficients g_e mod P over the grid of the other axes, in
+    # itertools.product order
+    n_fibres = math.prod(shape)
+    fibre = {e: np.zeros(n_fibres, dtype=np.int64) for e, _, _ in split}
+    for e, c, rest in split:
+        g = np.array(c, dtype=np.int64)
+        for table, k in zip(tables, rest):
+            g = g[..., None] * table[k] % P
+        fibre[e] += g.reshape(-1)
+        fibre[e] %= P
+    rows = [(fibre[e], xp) for e, xp in powers(xs, fibre).items()]
+    step = max(1, _SIEVE_BLOCK // len(xs))
     out = []
-    wmax = max((abs(v) for v in ranges[axis]), default=0)
-    for combo in itertools.product(*other_ranges):
-        acc = np.zeros_like(wvals)
-        scale = 0.0
-        overflow = False
-        for e, sub in grouped.items():
-            g = 0
-            for coeff, rest in sub:
-                v = coeff
-                for x, ee in zip(combo, rest):
-                    if ee:
-                        v *= x**ee
-                g += v
-            if g:
-                try:
-                    gf = float(g)
-                except OverflowError:
-                    overflow = True
-                    break
-                acc += gf * wpow[e]
-                scale = max(scale, abs(gf) * float(wmax) ** e)
-        if overflow:
-            # coefficients exceed float range on this fiber; evaluate exactly
-            for wv in ranges[axis]:
-                tup = combo[:axis] + (wv,) + combo[axis:]
-                if _eval_terms(terms, tup) == 0:
-                    out.append(tup)
-            continue
-        if scale == 0.0:
-            # polynomial vanishes identically on this fiber
-            for wv in ranges[axis]:
-                out.append(combo[:axis] + (wv,) + combo[axis:])
-            continue
-        idx = np.nonzero(np.abs(acc) <= 1e-9 * scale)[0]
-        for j in idx:
-            wv = ranges[axis][int(j)]
-            tup = combo[:axis] + (wv,) + combo[axis:]
+    for f0 in range(0, n_fibres, step):
+        acc = np.zeros((min(step, n_fibres - f0), len(xs)), dtype=np.int64)
+        for i, (g, xp) in enumerate(rows, 1):
+            acc += np.multiply.outer(g[f0 : f0 + step], xp)
+            if i % 2048 == 0:
+                acc %= P
+        fi, pos = np.divmod(np.flatnonzero(acc % P == 0), len(xs))
+        idx = [a.tolist() for a in np.unravel_index(fi + f0, shape)]
+        for s, j in enumerate(pos.tolist()):
+            tup = [r[i[s]] for r, i in zip(others, idx)]
+            tup.insert(axis, xs[j])
+            tup = tuple(tup)
             if _eval_terms(terms, tup) == 0:
                 out.append(tup)
     return out

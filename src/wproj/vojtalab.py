@@ -332,11 +332,11 @@ class ExceptionalCandidate:
 
 
 def exceptional_candidates(report: ScanReport) -> list[ExceptionalCandidate]:
+    # the cells decided every margin; equal alphas have equal margins
+    violating = [set(c.violating_alphas) for c in report.cells]
     out = []
     for rec in report.records:
-        if rec.margins is None:
-            continue
-        if not all(m.sign() < 0 for _, _, m in rec.margins):
+        if not all(rec.alpha in v for v in violating):
             continue
         n = len(rec.alpha)
         pairs = tuple(

@@ -502,6 +502,25 @@ class TestNegativeLeadingCoordinate:
         assert run(capsys, *self.CASES[2])[1].strip() == "2"
         assert run(capsys, *self.CASES[3])[1].strip() == "true"
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--bound", "-1/2"), ("--eps", "-1/4"), ("--delta", "-1/4"), ("--box", "-5,5,5")],
+    )
+    def test_negative_option_value_is_a_domain_error(self, capsys, tmp_path, option, value):
+        # argparse stopped these with "expected one argument" (exit 2)
+        if option == "--bound":
+            argv = ["search", "--weights", "2,3", "--bound", "2"]
+        else:
+            poly = tmp_path / "Y.wpoly"
+            poly.write_text(Y_111)
+            argv = [
+                "vojta-scan", "--weights", "1,2,3", "--poly", str(poly), "--codim", "2",
+                "--eps", "1/4", "--delta", "1/4", "--samples", "5", "--box", "5,5,5",
+            ]
+        code, out, err = run(capsys, *argv, option, value)
+        assert (code, out) == (1, ""), err
+        assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+
 
 # vojta-scan with the benchmark's scan-111 arguments at 200 samples:
 # Y = [1:1:1] in P(1,2,3), S = {2}, a 2 x 2 grid, box 1000^3.  The

@@ -15,12 +15,16 @@ from wproj import (
     parse_poly,
     wh_m_power,
 )
+from wproj.cli import main
 from wproj.search import (
+    _FAST_PATH_VOLUME,
+    _SIEVE_PRIME,
     SearchConfig,
     SearchHit,
     _nth_root_floor,
     _phase1_ranges,
     _scan_box,
+    _scan_chunk,
     _substituted_terms,
     brute_force_oracle,
     enumerate_bounded,
@@ -28,6 +32,7 @@ from wproj.search import (
     search_hypersurface,
 )
 from wproj.wpoint import _lex_key, _veronese_image, wgcd_tuple
+from wproj.wpoly import _eval_terms
 
 
 def _coords(points):
@@ -407,3 +412,89 @@ class TestAgainstReference:
     def test_fixed_cases(self, q, B, phase2):
         config = SearchConfig(classify(q), B, phase2=phase2)
         assert _summary(search(config).hits) == _summary(_reference_search(config))
+
+
+# ---------------------------------------------------------------------------
+# the modular sieve of boxes above _FAST_PATH_VOLUME
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _sieve_boxes(draw):
+    """(terms, ranges) of a box above _FAST_PATH_VOLUME with some zeros: a
+    planted root, or a linear factor x_i - k x_j, or no terms at all."""
+    n = draw(st.integers(2, 3))
+    lo = 36 if n == 2 else 9  # (2 lo)^n > 5000 even without 0
+    radii = [draw(st.integers(lo, lo + 6)) for _ in range(n)]
+    zero_free = draw(st.booleans())  # phase 2 leaves 0 out
+    ranges = [[v for v in range(-r, r + 1) if v or not zero_free] for r in radii]
+    mode = draw(st.sampled_from(["planted", "line", "empty", "multiple of P"]))
+    if mode == "empty":
+        return [], ranges
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-(10**300), 10**300),
+                st.tuples(*[st.integers(0, 4)] * n),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    if mode == "line":
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(-3, 3))
+        unit = [tuple(int(a == b) for a in range(n)) for b in range(n)]
+        terms = [
+            (c * f, tuple(map(sum, zip(e, unit[v]))))
+            for c, e in terms
+            for f, v in ((1, i), (-k, j))
+        ]
+    else:
+        root = tuple(draw(st.sampled_from(r)) for r in ranges)
+        terms.append((-_eval_terms(terms, root), (0,) * n))
+        if mode == "multiple of P":  # every tuple survives the sieve
+            terms = [(c * _SIEVE_PRIME, e) for c, e in terms]
+    return terms, ranges
+
+
+# f = 10^301 x (34x - 35y)(34x + 35y), and a power form of the same zeros;
+# a float evaluation overflowed on both (nan and OverflowError)
+_HUGE_P11 = [
+    f"{1156 * 10**301} x^3 - {1225 * 10**301} x y^2",
+    f"{34**100} x^200 - {35**100} x^100 y^100",
+]
+
+
+class TestModularSieve:
+    def test_prime_with_int64_headroom(self):
+        P = _SIEVE_PRIME
+        assert sympy.isprime(P) and P < 2**26
+        # a reduced residue plus 2^11 products of two residues
+        assert (P - 1) + 2**11 * (P - 1) ** 2 < 2**63
+
+    @given(_sieve_boxes())
+    @settings(max_examples=40, deadline=None)
+    def test_same_zeros_as_exact_scan(self, box):
+        terms, ranges = box
+        volume = math.prod(map(len, ranges))
+        assert volume > _FAST_PATH_VOLUME
+        expected = [
+            t for t in itertools.product(*ranges) if _eval_terms(terms, t) == 0
+        ]
+        # the sieve lists the fibres of its longest axis in turn; the
+        # ranges ascend, so sorting restores itertools.product order
+        sols, count = _scan_chunk((terms, ranges))
+        assert (sorted(sols), count) == (expected, volume)
+
+    @pytest.mark.parametrize("text", _HUGE_P11, ids=["nan", "overflow"])
+    def test_huge_coefficients(self, text, capsys, tmp_path):
+        f = parse_poly(text, {"x": 1, "y": 1})
+        hits = search(SearchConfig(classify([1, 1]), Fraction(35), hypersurface=f)).hits
+        assert [h.point.coords for h in hits] == [(0, 1), (35, 34), (-35, 34)]
+        poly = tmp_path / "f.wpoly"
+        poly.write_text(f"weights: x=1 y=1\n\n{text}\n")
+        code = main(["search", "--weights", "1,1", "--bound", "35", "--poly", str(poly)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert out.splitlines()[1:] == ["0:1  wh^1=1", "35:34  wh^1=35", "-35:34  wh^1=35"]

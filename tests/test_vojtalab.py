@@ -253,6 +253,33 @@ class TestExceptionalCandidates:
             if c.alpha[1] == c.alpha[2]:
                 assert (1, 2) in c.equal_pairs
 
+    def test_read_from_cells_without_sign_calls(self, monkeypatch):
+        # a 2 x 2 grid whose cells disagree, over a sample that repeats
+        # an alpha: the candidates are the records negative at every margin
+        cfg = _config(
+            samples=300,
+            seed=17,
+            epsilon_grid=(Fraction(1, 100), Fraction(1, 10)),
+            delta_grid=(Fraction(1, 100), Fraction(1, 2)),
+        )
+        report = scan(cfg)
+        expected = sorted(
+            rec.alpha
+            for rec in report.records
+            if rec.margins is not None
+            and all(m.sign() < 0 for _, _, m in rec.margins)
+        )
+        assert len({c.violations for c in report.cells}) == 4
+        assert len(expected) > len(set(expected))
+        calls = []
+        real_sign = FormalLog.sign
+        monkeypatch.setattr(
+            FormalLog, "sign", lambda self: calls.append(1) or real_sign(self)
+        )
+        cands = exceptional_candidates(report)
+        assert [c.alpha for c in cands] == expected
+        assert calls == []
+
 
 class TestCellSummaries:
     def test_empirical_c_clamped_nonnegative(self):
