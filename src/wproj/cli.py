@@ -8,6 +8,8 @@ Exact symbolic values are always printed before any decimal rendering.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import random
@@ -122,13 +124,15 @@ def _emit(result: dict, plain_lines: list[str], args) -> None:
         text = "\n".join(plain_lines) + "\n"
     elif fmt == "json":
         text = json.dumps(result, sort_keys=True, indent=2, default=str) + "\n"
-    else:  # csv
-        rows = ["key,value"]
+    else:  # csv: one key,value row per field, containers as compact JSON
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["key", "value"])
         for k, v in result.items():
-            if isinstance(v, (list, tuple)):
-                v = ";".join(str(x) for x in v)
-            rows.append(f"{k},{v}")
-        text = "\n".join(rows) + "\n"
+            if isinstance(v, (dict, list, tuple)):
+                v = json.dumps(v, sort_keys=True, separators=(",", ":"), default=str)
+            writer.writerow([k, v])
+        text = buf.getvalue()
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:

@@ -426,13 +426,24 @@ class FormalLog:
         return float(self.decimal(17))
 
     def decimal(self, digits: int = 15) -> str:
-        """Decimal rendering with the requested significant digits."""
-        with mpmath.workdps(digits + 10):
-            prec = mpmath.mp.prec
-            total = mpmath.mpf(self.const.numerator) / self.const.denominator
-            for p, c in self.coeffs.items():
-                total += _log_mpf(p, prec) * mpmath.mpf(c.numerator) / c.denominator
-            return mpmath.nstr(total, digits, strip_zeros=False)
+        """Decimal rendering with the requested significant digits.
+
+        The operations of ``mpmath.workdps(digits + 10)`` on raw libmp
+        values, each rounded to nearest at its binary precision, then
+        ``nstr``'s formatting: the same bytes, without entering an mpmath
+        context per call."""
+        lib = mpmath.libmp
+        prec, rnd = lib.dps_to_prec(digits + 10), lib.round_nearest
+        # mpf(n) rounds n to the working precision; an int divisor does not
+        num, den = self.const.numerator, self.const.denominator
+        total = lib.mpf_div(lib.from_int(num, prec, rnd), lib.from_int(den), prec, rnd)
+        for p, c in self.coeffs.items():
+            term = lib.mpf_mul(
+                _log_mpf(p, prec)._mpf_, lib.from_int(c.numerator, prec, rnd), prec, rnd
+            )
+            term = lib.mpf_div(term, lib.from_int(c.denominator), prec, rnd)
+            total = lib.mpf_add(total, term, prec, rnd)
+        return lib.to_str(total, digits, strip_zeros=False)
 
     def symbolic(self) -> str:
         """Human-readable exact form, e.g. '(1/4)*log(2) + log(3)'."""

@@ -22,9 +22,10 @@ range, so a positive budget gap always exists and the admissible primes
 form a finite list), composing several primes recursively over increasing
 p with a multiplicative budget.  It keeps the multiple D*y of a residual
 tuple y only when the profile is exactly the point's own and the point
-lies outside the phase-1 box.  ``search`` proves that every canonical
-point of height at most B is then built exactly once; ``_collect`` checks
-wh exactly and applies the sign rule (ii).
+lies outside the phase-1 box.  The sign rule (ii) fixes the sign of one
+coordinate per support, so phase 2 scans only that half of each residual
+box.  ``search`` proves that every canonical point of height at most B is
+then built exactly once; ``_collect`` checks wh exactly.
 """
 
 from __future__ import annotations
@@ -203,11 +204,14 @@ def _scan_box(terms, ranges, jobs: int) -> tuple[list[tuple[int, ...]], int]:
 
 
 def _deflation_profiles(
-    qs: Sequence[int], budgets_m: Sequence[Fraction], m: int
+    qs: Sequence[int], budgets_m: Sequence[int], m: int
 ) -> Iterator[tuple]:
     """All nonempty multi-prime deflation profiles of the reduced weights
-    qs: (divisors, residual budgets, and per prime p of the profile the
-    pair (p, tight)).
+    qs: (divisors, floored residual budgets, and per prime p of the profile
+    the pair (p, tight)).
+
+    Budgets are carried as their floors: floor(floor(b)/p^k) = floor(b/p^k),
+    and the prime bounds and the residual radii read only floors.
 
     The levels are the c = a/q_i in (0, 1).  For a level c only the minimal
     exponents e_i = ceil(q_i c) are needed: a point of level c at p is a
@@ -228,7 +232,7 @@ def _deflation_profiles(
         tight = tuple(i for i, q in enumerate(qs) if (q * c).denominator == 1)
         levels.append((e, tuple(cost), tight))
 
-    def p_max(cost: tuple[int, ...], budgets: Sequence[Fraction]) -> int:
+    def p_max(cost: tuple[int, ...], budgets: Sequence[int]) -> int:
         # largest p with p^cost_i <= budgets_i for every i; some cost_i > 0
         best = None
         for k, bud in zip(cost, budgets):
@@ -236,7 +240,7 @@ def _deflation_profiles(
                 continue
             if bud < 1:
                 return 0
-            r = _nth_root_floor(bud.numerator // bud.denominator, k)
+            r = _nth_root_floor(bud, k)
             best = r if best is None else min(best, r)
         assert best is not None  # reduced weights exclude all-integral q*c
         return best
@@ -247,7 +251,7 @@ def _deflation_profiles(
     global_max = max(p_max(cost, budgets_m) for _, cost, _ in levels)
     primes = [int(p) for p in sympy.primerange(2, global_max + 1)]
 
-    def rec(budgets: tuple[Fraction, ...], start: int) -> Iterator[tuple]:
+    def rec(budgets: tuple[int, ...], start: int) -> Iterator[tuple]:
         bounds = [p_max(cost, budgets) for _, cost, _ in levels]
         cap = max(bounds)
         for idx in range(start, len(primes)):
@@ -257,9 +261,7 @@ def _deflation_profiles(
             for (e, cost, tight), bnd in zip(levels, bounds):
                 if p > bnd:
                     continue
-                new_budgets = tuple(
-                    bud / Fraction(p) ** k for bud, k in zip(budgets, cost)
-                )
+                new_budgets = tuple(bud // p**k for bud, k in zip(budgets, cost))
                 divisors = tuple(p**ei for ei in e)
                 yield divisors, new_budgets, ((p, tight),)
                 for sub_div, sub_bud, sub_tight in rec(new_budgets, idx + 1):
@@ -300,6 +302,16 @@ def _substituted_terms(poly: WPoly | None, support, divisors):
     return terms
 
 
+def _sign_axis(qs: Sequence[int]) -> int:
+    """The position whose sign ``_sign_key`` reads first between the two
+    sign patterns of a zero-free tuple in the reduced weights qs: the last
+    one if its weight is odd (the flip changes the last sign), else the
+    first odd weight (the first place the flip changes)."""
+    if qs[-1] % 2:
+        return len(qs) - 1
+    return next(i for i, q in enumerate(qs) if q % 2)
+
+
 def _exact_profile(y: tuple[int, ...], profile) -> bool:
     """Conditions (a) and (b) of ``search``: D*y has level exactly c at
     each profile prime and level 0 at every other prime."""
@@ -319,7 +331,8 @@ def _phase2_candidates(
     nonvanishing: frozenset[int] = frozenset(),
 ) -> tuple[list[tuple[int, ...]], int]:
     """The canonical points outside the phase-1 box that phase 2 builds,
-    in actual coordinates, and the number of residual-box tuples scanned.
+    in actual coordinates, and the volume of the residual boxes (twice the
+    number of tuples scanned: one sign pattern each).
 
     Each support is handled in its reduced weight system q_i/d with bound
     B^d (the rescaling law lwh_{d*q} = (1/d) lwh_q makes this exact): the
@@ -338,19 +351,21 @@ def _phase2_candidates(
             continue
         d = math.gcd(*(w.q[i] for i in support))
         qs = [w.q[i] // d for i in support]
-        Bred = B**d
         m = math.lcm(*qs)
-        budgets_m = [Bred ** (m * q) for q in qs]
+        budgets_m = [_floor_pow(B**d, m * q) for q in qs]
+        j = _sign_axis(qs)
         for divisors, residual, profile in _deflation_profiles(qs, budgets_m, m):
-            radii = [_nth_root_floor(b.numerator // b.denominator, m) for b in residual]
+            radii = [_nth_root_floor(b, m) for b in residual]
             if any(r == 0 for r in radii):
                 continue
             ranges = [
                 [y for y in range(-r, r + 1) if y != 0] for r in radii
             ]
+            ranges[j] = list(range(1, radii[j] + 1))
             terms = _substituted_terms(poly, support, divisors)
             sols, c = _scan_box(terms, ranges, jobs=1)
-            count += c
+            # count both sign patterns: the residual box is twice the half
+            count += 2 * c
             for y in sols:
                 if not _exact_profile(y, profile):
                     continue
@@ -367,12 +382,12 @@ def _phase2_candidates(
 def _collect(
     config: SearchConfig, candidates: Sequence[tuple[int, ...]]
 ) -> list[SearchHit]:
-    """Exact wh filter, sign rule, nonvanishing filter, hits, sort.
+    """Nonvanishing filter, exact wh filter, hits, sort.
 
-    Every candidate meets the level rule and lies on the hypersurface, and
-    so does its other sign pattern, which is a candidate too: keeping the
-    ``_sign_key`` minimum keeps each point once.  A canonical point has
-    wgcd 1, so hits are built without factoring.
+    Every candidate is canonical, lies on the hypersurface and is built
+    once, so only the required-nonzero coordinates and wh are left to
+    check.  A canonical point has wgcd 1, so hits are built without
+    factoring.
     """
     w = config.w
     Bm = config.bound**w.m
@@ -382,8 +397,6 @@ def _collect(
             continue
         whm = max(map(abs, _veronese_image(coords, w)))
         if whm > Bm:
-            continue
-        if _sign_key(_sign_flip(coords, w.q)) < _sign_key(coords):
             continue
         vanishing = tuple(i for i, c in enumerate(coords) if c == 0)
         hits.append(SearchHit(WPoint._from_canonical(w, coords), whm, vanishing))
@@ -419,7 +432,17 @@ def search(config: SearchConfig) -> SearchReport:
     or residual tuple builds x again, and x is canonical up to its sign
     pattern.  The other sign pattern eps*x has the same valuations and box
     status and lies on V(f) as well (f is weighted homogeneous), so
-    ``_collect`` sees both and keeps the ``_sign_key`` minimum.
+    exactly one of the two is the ``_sign_key`` minimum, and phase 2 builds
+    only that one: with j = ``_sign_axis``(q_T) it scans y_j > 0 alone.
+    Indeed D > 0, so x_i has the sign of y_i, and no y_i is 0, so
+    ``_sign_flip`` negates exactly the positions of T with odd reduced
+    weight.  ``_sign_key`` first compares the sign of the last nonzero
+    coordinate, which the flip changes iff the last reduced weight is odd;
+    then j is that position and the minimum has x_j > 0.  Otherwise the
+    last signs agree and ``_lex_key`` decides at the first position the
+    flip changes, the first odd reduced weight, which is j; at equal
+    magnitude the positive value comes first, so again the minimum has
+    x_j > 0.
     """
     import time
 
@@ -431,10 +454,12 @@ def search(config: SearchConfig) -> SearchReport:
         terms = config.hypersurface.terms if config.hypersurface else None
         sols, p1_count = _scan_box(terms, _phase1_ranges(w, B), config.jobs)
         # canonical box tuples: with gcd 1 every level is 0 and only the
-        # sign rule is left, which _collect applies
+        # sign rule (ii) is left
         candidates = [
-            x for x in sols if any(x)
-            and (math.gcd(*x) == 1 or canonicalize(WPoint(w, x)).coords == x)
+            x for x in sols if any(x) and (
+                _sign_key(x) < _sign_key(_sign_flip(x, w.q)) if math.gcd(*x) == 1
+                else canonicalize(WPoint(w, x)).coords == x
+            )
         ]
         if config.phase2:
             extra, p2_count = _phase2_candidates(

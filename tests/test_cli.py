@@ -218,6 +218,24 @@ class TestFormats:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {"key": "wgcd", "value": "2"} in rows
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["height", "--weights", "2,3", "--point", "4:8"],
+            ["wgcd", "--weights", "2,4", "--tuple", "8:16"],
+            ["search", "--weights", "2,3", "--bound", "1"],
+        ],
+    )
+    def test_csv_rows_have_two_fields(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        if argv[0] == "search":
+            _, doc, _ = run(capsys, *argv, "--format", "json")
+            assert json.loads(dict(rows)["points"]) == json.loads(doc)["points"]
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run(

@@ -17,9 +17,18 @@ from wproj.exactnum import (
     DomainError,
     FormalLog,
     Place,
+    _log_mpf,
     factor,
     ord_at,
     ord_plus,
+)
+
+# rationals from 10^-60 to 10^60 in magnitude, of either sign
+_WIDE_FRACTIONS = st.builds(
+    lambda n, k, den: Fraction(n * 10**k, den) if k >= 0 else Fraction(n, den * 10**-k),
+    st.integers(-(10**20), 10**20).filter(bool),
+    st.integers(-60, 60),
+    st.integers(1, 10**12),
 )
 
 
@@ -143,6 +152,27 @@ class TestFormalLog:
         v = FormalLog.of_log(2)
         assert abs(v.to_float() - math.log(2)) < 1e-14
         assert v.decimal(15).startswith("0.693147180559945")
+
+    @staticmethod
+    def _reference_decimal(v: FormalLog, digits: int) -> str:
+        # decimal() as it was, in an mpmath context
+        with mpmath.workdps(digits + 10):
+            prec = mpmath.mp.prec
+            total = mpmath.mpf(v.const.numerator) / v.const.denominator
+            for p, c in v.coeffs.items():
+                total += _log_mpf(p, prec) * mpmath.mpf(c.numerator) / c.denominator
+            return mpmath.nstr(total, digits, strip_zeros=False)
+
+    @given(
+        st.dictionaries(st.sampled_from([2, 3, 5, 7, 97]), _WIDE_FRACTIONS, max_size=3),
+        # zero, constants beyond 10^40 and below 10^-40 (exponent notation)
+        st.one_of(st.just(Fraction(0)), _WIDE_FRACTIONS),
+        st.sampled_from([5, 15, 17, 30]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_matches_mpmath_context(self, coeffs, const, digits):
+        v = FormalLog(coeffs, const)
+        assert v.decimal(digits) == self._reference_decimal(v, digits)
 
     @given(
         st.fractions(

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 from fractions import Fraction
@@ -21,18 +22,24 @@ from wproj.search import (
     _SIEVE_PRIME,
     SearchConfig,
     SearchHit,
+    _deflation_profiles,
+    _floor_pow,
     _nth_root_floor,
     _phase1_ranges,
     _scan_box,
     _scan_chunk,
+    _sign_axis,
     _substituted_terms,
     brute_force_oracle,
     enumerate_bounded,
     search,
     search_hypersurface,
 )
-from wproj.wpoint import _lex_key, _veronese_image, wgcd_tuple
+from wproj.wpoint import _lex_key, _sign_flip, _sign_key, _veronese_image, wgcd_tuple
 from wproj.wpoly import _eval_terms
+
+# the package's ``search`` is the function
+search_module = importlib.import_module("wproj.search")
 
 
 def _coords(points):
@@ -412,6 +419,114 @@ class TestAgainstReference:
     def test_fixed_cases(self, q, B, phase2):
         config = SearchConfig(classify(q), B, phase2=phase2)
         assert _summary(search(config).hits) == _summary(_reference_search(config))
+
+
+# ---------------------------------------------------------------------------
+# one sign pattern per point: the sign axis and the half residual box
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _signed_supports(draw):
+    """(qs, y, q, x): x = D*y with D > 0 and y zero-free on a support
+    whose reduced weights are qs, placed among zero coordinates of the full
+    weights q, which are d*qs on the support."""
+    qs = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
+    assume(math.gcd(*qs) == 1)
+    d = draw(st.integers(1, 3))
+    y = draw(st.lists(st.integers(-50, 50).filter(bool), min_size=len(qs), max_size=len(qs)))
+    D = draw(st.lists(st.integers(1, 20), min_size=len(qs), max_size=len(qs)))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=len(qs) + 1, max_size=len(qs) + 1))
+    q, x = [], []
+    for i in range(len(qs) + 1):
+        q += [draw(st.integers(1, 12)) for _ in range(gaps[i])]
+        x += [0] * gaps[i]
+        if i < len(qs):
+            q.append(d * qs[i])
+            x.append(D[i] * y[i])
+    return qs, y, tuple(q), tuple(x)
+
+
+def _residual_box_volume(q, B):
+    """Sum over supports and deflation profiles of prod 2 r_i, the volume
+    of the residual boxes, by the Fraction-budget reference walk."""
+    total = 0
+    for support in itertools.chain.from_iterable(
+        itertools.combinations(range(len(q)), k) for k in range(2, len(q) + 1)
+    ):
+        d = math.gcd(*(q[i] for i in support))
+        qs = [q[i] // d for i in support]
+        m = math.lcm(*qs)
+        budgets_m = [(B**d) ** (m * qi) for qi in qs]
+        for _, residual in _reference_profiles(qs, budgets_m, m):
+            radii = [_nth_root_floor(b.numerator // b.denominator, m) for b in residual]
+            if all(radii):
+                total += math.prod(2 * r for r in radii)
+    return total
+
+
+class TestHalfBox:
+    @given(_signed_supports())
+    @settings(max_examples=300, deadline=None)
+    def test_sign_axis_decides_sign_key(self, case):
+        qs, y, q, x = case
+        j = _sign_axis(qs)
+        assert (y[j] > 0) == (_sign_key(x) < _sign_key(_sign_flip(x, q)))
+
+    @pytest.mark.parametrize(
+        "qs,B",
+        [
+            ((2, 3), Fraction(9, 4)),
+            ((2, 3), Fraction(5, 2)),
+            ((1, 2, 3), Fraction(3, 2)),
+            ((2, 3, 5), Fraction(5, 4)),
+            ((1, 2, 3, 5), Fraction(5, 4)),
+            ((3, 4), Fraction(5, 4)),
+        ],
+    )
+    def test_integer_budgets_match_reference(self, qs, B):
+        m = math.lcm(*qs)
+        ref = [
+            (div, tuple(b.numerator // b.denominator for b in bud))
+            for div, bud in _reference_profiles(qs, [B ** (m * q) for q in qs], m)
+        ]
+        budgets = [_floor_pow(B, m * q) for q in qs]
+        got = [(div, bud) for div, bud, _ in _deflation_profiles(qs, budgets, m)]
+        assert ref and got == ref
+
+    @pytest.mark.parametrize(
+        "q,B,expected",
+        [((2, 3), Fraction(2), 12068), ((2, 4, 6, 10), Fraction(9, 8), None),
+         ((1, 2, 3), Fraction(3, 2), None)],
+    )
+    def test_phase2_count_is_full_box_volume(self, q, B, expected):
+        count = search(SearchConfig(classify(q), B)).phase2_candidates
+        assert count == _residual_box_volume(q, B)
+        if expected is not None:
+            assert count == expected
+
+    @pytest.mark.parametrize(
+        "q,B,phase2",
+        [
+            ((2, 3), Fraction(9, 4), True),
+            ((2, 3), Fraction(2), False),
+            ((2, 4, 6, 10), Fraction(9, 8), True),
+            ((2, 2, 3), Fraction(3, 2), True),
+            ((1, 2, 3, 5), Fraction(5, 4), True),
+        ],
+    )
+    def test_every_collect_input_is_a_hit(self, monkeypatch, q, B, phase2):
+        seen = []
+
+        def counted(config, candidates):
+            hits = collect(config, candidates)
+            seen.append((len(candidates), len(hits)))
+            return hits
+
+        collect = search_module._collect
+        monkeypatch.setattr(search_module, "_collect", counted)
+        report = search(SearchConfig(classify(q), B, phase2=phase2))
+        assert seen == [(len(report.hits), len(report.hits))]
 
 
 # ---------------------------------------------------------------------------
