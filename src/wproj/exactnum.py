@@ -510,6 +510,6 @@ def ord_plus(alpha: Rational, place: Place):
         return INFINITY
     if place.is_finite:
         return max(ord_at(alpha, place), 0)
-    v = ord_at(alpha, place)
-    return v if v.sign() > 0 else FormalLog.zero()
+    # -log|alpha| > 0 exactly when |alpha| < 1; nothing is factored otherwise
+    return ord_at(alpha, place) if abs(alpha) < 1 else FormalLog.zero()
 

@@ -7,8 +7,9 @@ for its point exactly when
   (i) its level c_p = min_{i in T} v_p(x_i)/q_i is below 1/d_T at every
       prime p (otherwise lambda = p^{-1/d_T} keeps x integral), and
   (ii) x is the ``_sign_key`` minimum of its two sign patterns.
-The search builds only such tuples, each once: nothing is deduplicated,
-and no phase-2 candidate is factored or canonicalized.
+Phase 1 keeps the box tuples that meet (i) and (ii) as they stand, phase 2
+builds only such tuples, each once; no candidate is canonicalized or
+deduplicated, and none from phase 2 is factored.
 
 Completeness strategy (two phases).  Phase 1 scans the base box
 |x_i| <= floor(B^{q_i}), which contains every point whose finite
@@ -41,7 +42,8 @@ import sympy
 
 from .exactnum import DomainError
 from .wpoint import (
-    WPoint, _lex_key, _sign_flip, _sign_key, _veronese_image, canonicalize
+    WPoint, _levels, _lex_key, _sign_flip, _sign_key, _support_gcd,
+    _veronese_image, canonicalize,
 )
 from .wpoly import WPoly, _eval_terms
 from .wspace import WeightVector
@@ -379,6 +381,14 @@ def _phase2_candidates(
     return out, count
 
 
+def _is_canonical(x: tuple[int, ...], q: Sequence[int]) -> bool:
+    """The one canonicity rule, (i) and (ii) of the module docstring, read
+    as stated: a tuple with gcd 1 has no level to test."""
+    return all(
+        c * _support_gcd(x, q) < 1 for c in _levels(x, q).values()
+    ) and _sign_key(x) < _sign_key(_sign_flip(x, q))
+
+
 def _collect(
     config: SearchConfig, candidates: Sequence[tuple[int, ...]]
 ) -> list[SearchHit]:
@@ -453,14 +463,8 @@ def search(config: SearchConfig) -> SearchReport:
     if B >= 1:
         terms = config.hypersurface.terms if config.hypersurface else None
         sols, p1_count = _scan_box(terms, _phase1_ranges(w, B), config.jobs)
-        # canonical box tuples: with gcd 1 every level is 0 and only the
-        # sign rule (ii) is left
-        candidates = [
-            x for x in sols if any(x) and (
-                _sign_key(x) < _sign_key(_sign_flip(x, w.q)) if math.gcd(*x) == 1
-                else canonicalize(WPoint(w, x)).coords == x
-            )
-        ]
+        # the box tuples that are canonical as they stand; none is canonicalized
+        candidates = [x for x in sols if any(x) and _is_canonical(x, w.q)]
         if config.phase2:
             extra, p2_count = _phase2_candidates(
                 w, B, config.hypersurface, config.nonvanishing

@@ -15,11 +15,10 @@ from .exactnum import (
     FormalLog,
     Place,
     Rational,
-    _int_valuation,
     factor,
     ord_plus,
 )
-from .wpoint import WPoint, _veronese_image, wgcd_tuple
+from .wpoint import WPoint, _level, _levels, _veronese_image, wgcd_tuple
 from .wspace import WeightVector
 
 
@@ -42,20 +41,11 @@ def _argmax_weighted_abs(coords: Sequence[int], q: Sequence[int], m: int) -> int
     return best
 
 
-def _weighted_min_valuation(x: WPoint, p: int) -> Fraction:
-    """min_i v_p(x_i)/q_i over the nonzero coordinates."""
-    return min(
-        Fraction(_int_valuation(abs(xi), p), qi)
-        for xi, qi in zip(x.coords, x.w.q)
-        if xi != 0
-    )
-
-
 def local_height(x: WPoint, place: Place) -> FormalLog:
     """log max_i |x_i|_v^{1/q_i} at one place, exactly."""
     if place.is_finite:
         # a Place holds a prime, so the key needs no second primality test
-        v = _weighted_min_valuation(x, place.p)
+        v = _level(x.coords, x.w.q, place.p)
         return FormalLog._from_pruned({place.p: -v} if v else {})
     q = x.w.q
     i = _argmax_weighted_abs(x.coords, q, x.w.m)
@@ -63,11 +53,11 @@ def local_height(x: WPoint, place: Place) -> FormalLog:
 
 
 def lwh(x: WPoint) -> FormalLog:
-    """Logarithmic weighted height: sum of local heights over all places."""
-    total = local_height(x, INFINITE_PLACE)
-    for p in _support_primes(x.coords):
-        total = total + local_height(x, Place(p))
-    return total
+    """Logarithmic weighted height: the archimedean local height minus
+    sum_p c_p log p over ``_levels``, so only the gcd of the coordinates
+    and the one coordinate of the archimedean term are factored."""
+    finite = {p: -c for p, c in _levels(x.coords, x.w.q).items()}
+    return local_height(x, INFINITE_PLACE) + FormalLog._from_pruned(finite)
 
 
 def wh_m_power(x: WPoint) -> int:
@@ -77,21 +67,17 @@ def wh_m_power(x: WPoint) -> int:
 
 
 def hgcd(alpha: Rational, beta: Rational) -> FormalLog:
-    """Generalized logarithmic gcd: sum over places of min(nu+(a), nu+(b))."""
+    """Generalized logarithmic gcd: sum over places of min(nu+(a), nu+(b)).
+    In lowest terms nu_p+(a) = v_p(a.numerator), so the finite places give
+    log gcd(a.numerator, b.numerator); gcd(0, n) = |n| as nu_p+(0) = oo."""
     a, b = Fraction(alpha), Fraction(beta)
     if a == 0 and b == 0:
         raise DomainError("hgcd(0, 0) is undefined")
-    total = FormalLog.zero()
-    for p in _support_primes([a.numerator, a.denominator, b.numerator, b.denominator]):
-        va = ord_plus(a, Place(p))
-        vb = ord_plus(b, Place(p))
-        v = vb if va is INFINITY else (va if vb is INFINITY else min(va, vb))
-        if v:
-            total = total + FormalLog.of_prime(p, v)
+    finite = FormalLog.of_log(math.gcd(a.numerator, b.numerator))
     va = ord_plus(a, INFINITE_PLACE)
     vb = ord_plus(b, INFINITE_PLACE)
     arch = vb if va is INFINITY else (va if vb is INFINITY else min(va, vb))
-    return total + arch
+    return finite + arch
 
 
 def hwgcd_mult(coords: Sequence[Rational], w: WeightVector) -> int:
@@ -154,7 +140,7 @@ def split_height_S(
 ) -> SplitHeight:
     """S-split height for a multiset of coordinate hyperplanes H_i.
 
-    divisor lists coordinate indices (default: all of them, i.e. -K_X).
+    divisor lists coordinate indices in 0..n-1 (default: all, i.e. -K_X).
     The per-place local term is (1/m) sum_i v_p(x_i) log p over the
     divisor; the archimedean nu+ term vanishes on integer coordinates, so
     in_S + out_S = (1/m) log|N| for N the product of the divisor
@@ -166,9 +152,12 @@ def split_height_S(
         Place(p)  # rejects an entry that is not a prime
     if x.cached_wgcd != 1:
         raise DomainError("split_height_S expects a normalized point")
-    idx = list(range(len(x.coords))) if divisor is None else list(divisor)
+    n = len(x.coords)
+    idx = list(range(n)) if divisor is None else list(divisor)
     if not idx:
         raise DomainError("empty divisor")
+    if any(not 0 <= i < n for i in idx):
+        raise DomainError(f"divisor coordinate indices must lie in 0..{n - 1}")
     exps: dict[int, int] = {}  # v_p(N) = sum_i v_p(x_i)
     for i in idx:
         if x.coords[i] == 0:

@@ -80,23 +80,31 @@ def integralize(coords: Sequence[Rational], w: WeightVector) -> WPoint:
     return WPoint(w, tuple(scaled))
 
 
+def _level(coords: Sequence[int], q: Sequence[int], p: int) -> Fraction:
+    """The level c_p = min_{x_i != 0} v_p(x_i)/q_i of a tuple at a prime p."""
+    return min(Fraction(_int_valuation(x, p), qi) for x, qi in zip(coords, q) if x)
+
+
+def _levels(coords: Sequence[int], q: Sequence[int]) -> dict[int, Fraction]:
+    """{p: c_p} over the primes with c_p > 0, in increasing order.
+
+    c_p > 0 exactly when p divides every nonzero coordinate, so only the gcd
+    of the nonzero coordinates is factored."""
+    g = math.gcd(*coords)
+    if g <= 1:
+        return {}
+    return {p: _level(coords, q, p) for p, _ in factor(g).factors}
+
+
 def wgcd_tuple(coords: Sequence[int], q: Sequence[int]) -> int:
     """Largest g with g^{q_i} | x_i for all i; zero coordinates unconstrained.
 
-    Computed by the floor formula: product over primes p of
-    p^{min_i floor(v_p(x_i)/q_i)}.
+    Computed by the floor formula: the product over primes p of
+    p^{floor(c_p)}, c_p the level from ``_levels``.
     """
-    nz = [(abs(x), qi) for x, qi in zip(coords, q) if x != 0]
-    if not nz:
+    if not any(coords):
         raise DomainError("all-zero tuple")
-    g = math.gcd(*(x for x, _ in nz))
-    if g == 1:
-        return 1
-    out = 1
-    for p, _ in factor(g).factors:
-        e = min(_int_valuation(x, p) // qi for x, qi in nz)
-        out *= p**e
-    return out
+    return math.prod(p ** math.floor(c) for p, c in _levels(coords, q).items())
 
 
 def wgcd(x: WPoint) -> int:
@@ -142,28 +150,21 @@ def canonicalize(x: WPoint) -> WPoint:
     """Unique orbit representative under the full rational scaling action.
 
     Stage 1 divides, per prime p, by p^{q_i t_p} with
-    t_p = floor(ds * min_{x_i != 0} (v_p(x_i)/q_i)) / ds, where ds is the
+    t_p = floor(ds * c_p) / ds, c_p the level from ``_levels`` and ds the
     gcd of the weights on the point's support (zero coordinates impose no
-    constraint on lambda, so the support lattice is the right one).
+    constraint on lambda, so the support lattice is the right one); the
+    level left at p is c_p - t_p < 1/ds, so one pass suffices.
     Stage 2 picks the lexicographically smallest of the <= 2 sign patterns
     reachable by roots of unity.  Idempotent; equivalent inputs agree.
     """
-    ds = _support_gcd(x.coords, x.w.q)
-    coords = list(x.coords)
     q = x.w.q
-    nz = [(i, abs(c)) for i, c in enumerate(coords) if c != 0]
-    g = math.gcd(*(a for _, a in nz))
-    # stage 1: only primes dividing every nonzero coordinate can deflate
-    for p, _ in (factor(g).factors if g > 1 else ()):
-        while True:
-            tnum = min(ds * _int_valuation(abs(coords[i]), p) // q[i] for i, _ in nz)
-            if tnum <= 0:
-                break
-            for i, _ in nz:
-                coords[i] //= p ** (q[i] * tnum // ds)
-            nz = [(i, abs(coords[i])) for i, _ in nz]
+    ds = _support_gcd(x.coords, q)
+    coords = list(x.coords)
+    for p, c in _levels(coords, q).items():
+        t = math.floor(ds * c)
+        if t:
+            coords = [v // p ** (qi * t // ds) for v, qi in zip(coords, q)]
     stage1 = tuple(coords)
-    # stage 2: sign reduction
     best = min(stage1, _sign_flip(stage1, q), key=_sign_key)
     return WPoint(x.w, best)
 

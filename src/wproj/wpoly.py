@@ -16,8 +16,8 @@ from .exactnum import (
     Place,
     _int_valuation,
 )
-from .wheight import _support_primes, _weighted_min_valuation, local_height
-from .wpoint import WPoint
+from .wheight import _support_primes, local_height
+from .wpoint import WPoint, _level
 from .wspace import WeightVector
 
 
@@ -280,7 +280,7 @@ def _local_height_Y_values(
         return None
     if place.is_finite:
         p = place.p
-        c = _weighted_min_valuation(x, p)
+        c = _level(x.coords, x.w.q, p)
         return FormalLog.of_prime(
             p, min(_int_valuation(abs(v), p) - d * c for d, v in terms)
         )
@@ -305,7 +305,8 @@ def global_height_Y(spec: SubschemeSpec, x: WPoint) -> FormalLog:
     if all(v == 0 for v in values):
         raise DomainError("point lies on the subscheme: infinite height")
     total = _local_height_Y_values(spec, x, values, INFINITE_PLACE)
-    for p in _support_primes(values + list(x.coords)):
+    # at a prime of neither gcd, c_p = 0 and some nonzero f_j(x) is prime to p
+    for p in _support_primes([math.gcd(*values), math.gcd(*x.coords)]):
         total = total + _local_height_Y_values(spec, x, values, Place(p))
     return total
 
@@ -341,6 +342,6 @@ def log_gcd_residual(spec: SubschemeSpec, x: WPoint) -> FormalLog:
     if lhs is None:
         raise DomainError("point lies on the subscheme")
     total = FormalLog.zero()
-    for p in _support_primes(values + list(x.coords)):
+    for p in _support_primes([math.gcd(*values), math.gcd(*x.coords)]):
         total = total + _local_height_Y_values(spec, x, values, Place(p))
     return lhs - total

@@ -492,6 +492,24 @@ class TestPrimesMustBePrimes:
             assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
 
 
+class TestSplitHeightDivisor:
+    @pytest.mark.parametrize("value", ["7", "-1", "0,2"])
+    def test_index_out_of_range(self, capsys, value):
+        code, out, err = run(
+            capsys, "split-height", "--weights", "1,2", "--point", "3:5", "--divisor", value,
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+        assert "0..1" in err
+
+    def test_repeated_index(self, capsys):
+        code, out, _ = run(
+            capsys, "split-height", "--weights", "1,2", "--point", "3:5", "--divisor", "1,1",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "out_S: log(5) = 1.60943791243410"
+
+
 class TestNegativeLeadingCoordinate:
     """A value such as -12:360:7000:99 is not a plain negative number, so
     argparse would read it as an option; it must reach the command as a

@@ -318,6 +318,12 @@ class TestSplitHeight:
             # not normalized: wgcd = 2
             split_height_S(WPoint(classify([2, 4]), (8, 16)), set())
 
+    @pytest.mark.parametrize("divisor", [[7], [-1], [0, 2], [-3, 0]])
+    def test_divisor_index_out_of_range(self, divisor):
+        x = WPoint(classify([1, 2]), (3, 5))
+        with pytest.raises(DomainError, match=r"0\.\.1"):
+            split_height_S(x, {3}, divisor=divisor)
+
 
 class TestClassicalDegeneration:
     def test_heights_match(self):
