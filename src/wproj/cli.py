@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import random
@@ -31,7 +30,7 @@ from .wpoint import (
 from .wheight import hgcd, hwgcd_mult, lwh, split_height_S, wh_m_power
 from .wpoly import SubschemeSpec, global_height_Y, parse_wpoly_file
 from . import vojtalab
-from .search import SearchConfig
+from .search import SearchConfig, SearchHit
 from .search import search as run_search
 
 
@@ -118,27 +117,131 @@ def _flog_fields(v: FormalLog) -> dict:
     return {"exact": v.symbolic(), "decimal": v.decimal(15)}
 
 
-def _emit(result: dict, plain_lines: list[str], args) -> None:
+class _Output:
+    """Where a command writes its report: stdout, or the --out file.
+
+    The file is opened before the command runs, so an unwritable path is a
+    usage error before any search or scan starts.  An existing file keeps
+    its contents until the first write, so a command that fails leaves it
+    as it was; a file the command created is removed if it fails.
+    """
+
+    def __init__(self, path: str | None) -> None:
+        self.path = path
+        self.created = False
+        self.stale = False  # an existing regular file, emptied by the first write
+        if not path:
+            self.stream = sys.stdout
+            return
+        try:
+            try:
+                self.stream = open(path, "x")
+                self.created = True
+            except FileExistsError:
+                # append mode empties nothing; a device or pipe is written
+                # to as it is
+                self.stream = open(path, "a")
+                self.stale = os.path.isfile(path)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+    def write(self, text: str) -> None:
+        if self.stale:
+            self.stream.truncate(0)
+            self.stale = False
+        self.stream.write(text)
+
+    def close(self, ok: bool) -> None:
+        """Flush stdout, or close the file and remove it if the command
+        created it and failed."""
+        if not self.path:
+            self.stream.flush()
+            return
+        self.stream.close()
+        if self.created and not ok:
+            os.remove(self.path)
+
+
+# One point of search's report in each format, written from its ints: the
+# point dict {"coords", "vanishing", "wh_m_power"} as json.dumps(sort_keys=True,
+# indent=2) lays it out at depth 2 of the report, the same dict as compact
+# JSON inside a quoted csv field, and the plain listing line.
+
+
+def _json_ints(values) -> str:
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+
+
+def _json_point(h: SearchHit) -> str:
+    return (
+        '    {\n      "coords": ' + _json_ints(h.point.coords)
+        + ',\n      "vanishing": ' + _json_ints(h.vanishing)
+        + f',\n      "wh_m_power": {h.wh_m}\n    }}'
+    )
+
+
+def _csv_point(h: SearchHit) -> str:
+    # csv doubles each quote inside a quoted field
+    return (
+        '{""coords"":[' + ",".join(map(str, h.point.coords))
+        + '],""vanishing"":[' + ",".join(map(str, h.vanishing))
+        + f'],""wh_m_power"":{h.wh_m}}}'
+    )
+
+
+def _plain_point(h: SearchHit) -> str:
+    return f"{':'.join(map(str, h.point.coords))}  wh^{h.point.w.m}={h.wh_m}\n"
+
+
+def _emit(
+    out: _Output,
+    args,
+    result: dict | None,
+    plain_lines: list[str],
+    points: list[SearchHit] | None = None,
+) -> None:
+    """Write a command's report to `out` in the --format of `args`.
+
+    `points`, search's hits, are the report's last entry, "points".  They
+    are written one at a time from their ints, so no dict per point and no
+    string of the whole report is built; the rest of `result` goes through
+    json.dumps, which keeps its escaping, key order and nulls.
+    """
     fmt = getattr(args, "format", "plain")
+    write = out.write
+    hits = iter(points or ())
     if fmt == "plain":
-        text = "\n".join(plain_lines) + "\n"
+        write("\n".join(plain_lines) + "\n")
+        for h in hits:
+            write(_plain_point(h))
     elif fmt == "json":
-        text = json.dumps(result, sort_keys=True, indent=2, default=str) + "\n"
+        if points is not None:
+            result = {**result, "points": []}
+        text = json.dumps(result, sort_keys=True, indent=2, default=str)
+        if points:
+            # the points go where "points" sorts among the keys
+            head, _, tail = text.partition('\n  "points": []')
+            write(head + '\n  "points": [\n' + _json_point(next(hits)))
+            for h in hits:
+                write(",\n" + _json_point(h))
+            text = "\n  ]" + tail
+        write(text + "\n")
     else:  # csv: one key,value row per field, containers as compact JSON
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["key", "value"])
         for k, v in result.items():
             if isinstance(v, (dict, list, tuple)):
                 v = json.dumps(v, sort_keys=True, separators=(",", ":"), default=str)
             writer.writerow([k, v])
-        text = buf.getvalue()
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        if points:
+            write('points,"[' + _csv_point(next(hits)))
+            for h in hits:
+                write("," + _csv_point(h))
+            write(']"\n')
+        elif points is not None:
+            writer.writerow(["points", "[]"])
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +249,7 @@ def _emit(result: dict, plain_lines: list[str], args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_factor(args) -> None:
+def _cmd_factor(args, out: _Output) -> None:
     try:
         n = int(args.n)
     except ValueError:
@@ -158,45 +261,49 @@ def _cmd_factor(args) -> None:
     if f.unit < 0:
         body = "-" + body
     _emit(
+        out,
+        args,
         {"n": n, "unit": f.unit, "factors": [list(t) for t in f.factors]},
         [body],
-        args,
     )
 
 
-def _cmd_wgcd(args) -> None:
+def _cmd_wgcd(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     x = WPoint(w, _int_tuple(args.tuple, w))
-    _emit({"weights": str(w), "tuple": str(x), "wgcd": wgcd(x)}, [str(wgcd(x))], args)
+    g = wgcd(x)
+    _emit(out, args, {"weights": str(w), "tuple": str(x), "wgcd": g}, [str(g)])
 
 
-def _cmd_normalize(args) -> None:
+def _cmd_normalize(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     y = normalize(WPoint(w, _int_tuple(args.tuple, w)))
-    out = ":".join(str(c) for c in y.coords)
-    _emit({"weights": str(w), "normalized": out}, [out], args)
+    text = ":".join(str(c) for c in y.coords)
+    _emit(out, args, {"weights": str(w), "normalized": text}, [text])
 
 
-def _cmd_canonical(args) -> None:
+def _cmd_canonical(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     y = canonicalize(WPoint(w, _int_tuple(args.tuple, w)))
-    out = ":".join(str(c) for c in y.coords)
-    _emit({"weights": str(w), "canonical": out}, [out], args)
+    text = ":".join(str(c) for c in y.coords)
+    _emit(out, args, {"weights": str(w), "canonical": text}, [text])
 
 
-def _cmd_equals(args) -> None:
+def _cmd_equals(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     a = WPoint(w, _int_tuple(args.left, w))
     b = WPoint(w, _int_tuple(args.right, w))
     same = equals(a, b)
-    _emit({"weights": str(w), "equal": same}, ["true" if same else "false"], args)
+    _emit(out, args, {"weights": str(w), "equal": same}, ["true" if same else "false"])
 
 
-def _cmd_height(args) -> None:
+def _cmd_height(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     x = parse_point(args.point, w)
     h = lwh(x)
     _emit(
+        out,
+        args,
         {
             "weights": str(w),
             "representative": str(x),
@@ -205,17 +312,18 @@ def _cmd_height(args) -> None:
             "m": w.m,
         },
         [h.symbolic(), h.decimal(15)],
-        args,
     )
 
 
-def _cmd_hwgcd(args) -> None:
+def _cmd_hwgcd(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     coords = _rationals(args.tuple)
     if len(coords) != len(w.q):
         raise UsageError("tuple/weights length mismatch")
     g = hwgcd_mult(coords, w)
     _emit(
+        out,
+        args,
         {
             "weights": str(w),
             "hwgcd": g,
@@ -223,26 +331,28 @@ def _cmd_hwgcd(args) -> None:
             "form floors ord_oo+ = max(-log|x|, 0), which vanishes on integers",
         },
         [str(g)],
-        args,
     )
 
 
-def _cmd_hgcd(args) -> None:
+def _cmd_hgcd(args, out: _Output) -> None:
     v = hgcd(_fraction(args.a), _fraction(args.b))
     _emit(
+        out,
+        args,
         {"a": str(args.a), "b": str(args.b), "hgcd": _flog_fields(v)},
         [v.symbolic(), v.decimal(15)],
-        args,
     )
 
 
-def _cmd_split_height(args) -> None:
+def _cmd_split_height(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     x = parse_point(args.point, w)
     S = set(_int_list(args.primes)) if args.primes else set()
     divisor = list(_int_list(args.divisor)) if args.divisor else None
     sh = split_height_S(x, S, divisor)
     _emit(
+        out,
+        args,
         {
             "weights": str(w),
             "point": str(x),
@@ -256,73 +366,76 @@ def _cmd_split_height(args) -> None:
             f"out_S: {sh.out_S.symbolic()} = {sh.out_S.decimal(15)}",
             f"total: {sh.total().symbolic()} = {sh.total().decimal(15)}",
         ],
-        args,
     )
 
 
-def _cmd_poly_check(args) -> None:
+def _cmd_poly_check(args, out: _Output) -> None:
     weights, polys = _load_wpoly(args.poly)
     lines = [f"weights: {' '.join(f'{n}={q}' for n, q in weights.items())}"]
     for f in polys:
         lines.append(f"degree {f.degree}: {f}")
     _emit(
+        out,
+        args,
         {
             "weights": weights,
             "polynomials": [str(f) for f in polys],
             "degrees": [f.degree for f in polys],
         },
         lines,
-        args,
     )
 
 
-def _cmd_poly_eval(args) -> None:
+def _cmd_poly_eval(args, out: _Output) -> None:
     weights, polys = _load_wpoly(args.poly)
     w = classify(list(weights.values()))
     x = parse_point(args.point, w)
     values = [f.eval(x.coords) for f in polys]
     _emit(
+        out,
+        args,
         {"point": str(x), "values": values},
         [str(v) for v in values],
-        args,
     )
 
 
-def _cmd_subscheme_height(args) -> None:
+def _cmd_subscheme_height(args, out: _Output) -> None:
     weights, polys = _load_wpoly(args.poly)
     w = classify(list(weights.values()))
     spec = SubschemeSpec(tuple(polys), args.codim)
     x = parse_point(args.point, w)
     h = global_height_Y(spec, x)
     _emit(
+        out,
+        args,
         {
             "point": str(x),
             "asserted_codim": spec.asserted_codim,
             "height": _flog_fields(h),
         },
         [h.symbolic(), h.decimal(15)],
-        args,
     )
 
 
-def _cmd_singular(args) -> None:
+def _cmd_singular(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     coords = _int_tuple(args.tuple, w)
     s = is_singular(w, coords)
-    _emit({"weights": str(w), "singular": s}, ["true" if s else "false"], args)
+    _emit(out, args, {"weights": str(w), "singular": s}, ["true" if s else "false"])
 
 
-def _cmd_reduce_weights(args) -> None:
+def _cmd_reduce_weights(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     red, d = reduce_weights(w)
     _emit(
+        out,
+        args,
         {"weights": str(w), "reduced": str(red), "d": d},
         [str(red), f"d: {d}"],
-        args,
     )
 
 
-def _cmd_search(args) -> None:
+def _cmd_search(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     B = _fraction(args.bound)
     poly = None
@@ -367,24 +480,12 @@ def _cmd_search(args) -> None:
         "phase1_candidates": report.phase1_candidates,
         "phase2_candidates": report.phase2_candidates,
         "wall_time_seconds": round(report.wall_time, 3),
-        "points": [
-            {
-                "coords": list(h.point.coords),
-                "wh_m_power": h.wh_m,
-                "vanishing": list(h.vanishing),
-            }
-            for h in report.hits
-        ],
     }
-    lines = [f"# {len(report.hits)} points, wh^{w.m} <= {str(B**w.m)}"]
-    for h in report.hits:
-        lines.append(
-            ":".join(str(c) for c in h.point.coords) + f"  wh^{w.m}={h.wh_m}"
-        )
-    _emit(result, lines, args)
+    header = f"# {len(report.hits)} points, wh^{w.m} <= {str(B**w.m)}"
+    _emit(out, args, result, [header], report.hits)
 
 
-def _cmd_vojta_scan(args) -> None:
+def _cmd_vojta_scan(args, out: _Output) -> None:
     w = parse_weights(args.weights)
     weights, polys = _load_wpoly(args.poly)
     if tuple(weights.values()) != w.q:
@@ -406,12 +507,8 @@ def _cmd_vojta_scan(args) -> None:
         jobs=args.jobs,
     )
     report = vojtalab.scan(config)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    # vojta-scan has no --format: its report is one line of JSON
+    _emit(out, args, None, [report.to_json()])
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +662,25 @@ def main(argv=None) -> int:
         file=sys.stderr,
     )
     try:
-        args.fn(args)
+        out = _Output(args.out)
+        ok = False
+        try:
+            args.fn(args, out)
+            ok = True
+        finally:
+            out.close(ok)
     except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader of stdout has gone, as in `wproj search ... | head -1`.
+        # Pointing stdout at os.devnull lets the flush at interpreter exit
+        # succeed instead of printing "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     return 0
 
 

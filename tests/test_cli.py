@@ -6,9 +6,12 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import wproj.cli
 from wproj.cli import _jobs, main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -609,3 +612,167 @@ def test_search_report_digest(capsys, case):
     assert code == 0, err
     text = re.sub(r'\n  "wall_time_seconds": [^\n]*', "", out)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SEARCH_DIGESTS[case]
+
+
+def _cut_wall_time(text: str) -> str:
+    """A search report without its wall_time_seconds line (json) or row (csv)."""
+    text = re.sub(r'\n  "wall_time_seconds": [^\n]*', "", text)
+    return re.sub(r"\nwall_time_seconds,[^\n]*", "", text)
+
+
+# search --format plain and csv on the GOLDEN_SEARCH_DIGESTS cases, recorded
+# before the report was written point by point.
+GOLDEN_SEARCH_FORMAT_DIGESTS = {
+    ("plain", "1,2,3", "3/2"): "c086ee74a335add601026b1dc2463b87312db398aa9c55a59e91eda371add75b",
+    ("plain", "2,3", "2"): "720dda9a056705ab8213e7f8c6175858f388df7665c05c9eaddc327027360669",
+    ("plain", "2,3", "9/4"): "87da667fca6107049cc5bc444a48bf62f00281e5992ec1bbc86b659446fb13dd",
+    ("plain", "2,4,6,10", "9/8"): "b66d542f8e290dd2febd091b3c038693f5de4e668b6bed33320458f31753d70f",
+    ("plain", "2,4,6,10", "9/8", "--no-phase2"):
+        "151e3b65b4d5b551d3b7f7ac4379d0ba96bfa9293ee7fcfa2798f4bf2e3cd229",
+    ("csv", "1,2,3", "3/2"): "51c029bab2074b6f63da71a1baf572d52a0413933c6717841011ae6228c71cde",
+    ("csv", "2,3", "2"): "535a5b9f8434fcdbc90a675f2c5a0d7b1db15a77ec9a04ddc12c22fe85b50a5d",
+    ("csv", "2,3", "9/4"): "19e469fa8df5febf6d7b92be79b2012aa8a00702d5be1440b0519859b8b6c67d",
+    ("csv", "2,4,6,10", "9/8"): "d52e9bf90c3929919c8238306f3ee834340f7b06a612feb37c0189438ee3685b",
+    ("csv", "2,4,6,10", "9/8", "--no-phase2"):
+        "07e7c2a66ddb29117ca88fdc92838946ce0ca1e668ef8a6595dbfb6fed9aba89",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SEARCH_FORMAT_DIGESTS))
+def test_search_report_format_digest(capsys, case):
+    fmt, weights, bound, *more = case
+    code, out, err = run(
+        capsys, "search", "--weights", weights, "--bound", bound, "--jobs", "1",
+        "--format", fmt, *more,
+    )
+    assert code == 0, err
+    digest = hashlib.sha256(_cut_wall_time(out).encode()).hexdigest()
+    assert digest == GOLDEN_SEARCH_FORMAT_DIGESTS[case]
+
+
+# A hypersurface search with --require-nonzero: the report has a hypersurface
+# string, a non-empty nonvanishing list and points with a vanishing index.
+# Recorded with the GOLDEN_SEARCH_FORMAT_DIGESTS.
+HYPERSURFACE_243 = "weights: a=2 b=4 c=3\n\na^2 - b\n"
+GOLDEN_HYPERSURFACE_DIGESTS = {
+    "plain": "c3122331c3f2bf4dabbdff9f9db56349e875f2c6b9353938eb997474c049ebf8",
+    "csv": "1fe38c99906013880b4f81ee28a6b6adc1ed20d6508e46154562bfcc15784585",
+    "json": "700455df4c2c2e3ee8f6f425ae139507770029312d1be3c1144a18deb527abe6",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_HYPERSURFACE_DIGESTS))
+def test_search_hypersurface_report_digest(capsys, tmp_path, fmt):
+    poly = tmp_path / "f.wpoly"
+    poly.write_text(HYPERSURFACE_243)
+    code, out, err = run(
+        capsys, "search", "--weights", "2,4,3", "--bound", "3/2", "--poly", str(poly),
+        "--require-nonzero", "1", "--jobs", "1", "--format", fmt,
+    )
+    assert code == 0, err
+    digest = hashlib.sha256(_cut_wall_time(out).encode()).hexdigest()
+    assert digest == GOLDEN_HYPERSURFACE_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--weights", "2,3", "--bound", "2"],
+        ["search", "--weights", "2,3", "--bound", "1/2"],
+        ["height", "--weights", "2,4", "--point", "4:8"],
+    ],
+    ids=["search", "search-empty", "height"],
+)
+def test_out_file_bytes_equal_stdout_bytes(capsys, tmp_path, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0, err
+    target = tmp_path / "report"
+    # a longer file already there is replaced, not overwritten in part
+    target.write_text("stale\n" * 100_000)
+    code, _, err = run(capsys, *argv, "--format", fmt, "--out", str(target))
+    assert code == 0, err
+    assert _cut_wall_time(target.read_bytes().decode()) == _cut_wall_time(out)
+
+
+class TestReportOutput:
+    """--out is opened before the command runs; stdout may close early."""
+
+    @pytest.fixture()
+    def y_file(self, tmp_path):
+        path = tmp_path / "Y.wpoly"
+        path.write_text(Y_111)
+        return str(path)
+
+    def _argv(self, command, y_file):
+        if command == "search":
+            return ["search", "--weights", "2,3", "--bound", "2"]
+        return [
+            "vojta-scan", "--weights", "1,2,3", "--poly", y_file, "--codim", "2",
+            "--eps", "1/4", "--delta", "1/4", "--samples", "5", "--box", "5,5,5",
+            "--seed", "1",
+        ]
+
+    @pytest.mark.parametrize("command", ["search", "vojta-scan"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, y_file, command, where
+    ):
+        def ran(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr(wproj.cli, "run_search", ran)
+        monkeypatch.setattr(wproj.cli.vojtalab, "scan", ran)
+        target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        code, out, err = run(capsys, *self._argv(command, y_file), "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(f"usage error: cannot write {target}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "command,override,code",
+        [
+            ("search", ["--bound=-1"], 1),
+            ("search", ["--bound", "x"], 2),
+            ("vojta-scan", ["--codim", "1"], 1),
+        ],
+        ids=["search-domain", "search-usage", "scan-domain"],
+    )
+    def test_failed_command_leaves_out_as_it_was(
+        self, capsys, tmp_path, y_file, command, override, code
+    ):
+        argv = self._argv(command, y_file) + override
+        created = tmp_path / "new.json"
+        assert run(capsys, *argv, "--out", str(created))[:2] == (code, "")
+        assert not created.exists()
+        existing = tmp_path / "old.json"
+        existing.write_text("an earlier report\n")
+        assert run(capsys, *argv, "--out", str(existing))[:2] == (code, "")
+        assert existing.read_text() == "an earlier report\n"
+
+    def test_vojta_scan_out_bytes_equal_stdout_bytes(self, capsys, tmp_path, y_file):
+        argv = self._argv("vojta-scan", y_file)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        target = tmp_path / "report.json"
+        assert run(capsys, *argv, "--out", str(target))[0] == 0
+        assert target.read_text() == out
+
+    def test_closed_stdout_ends_quietly(self):
+        # 5,040 points: the JSON report is far larger than a pipe's buffer,
+        # so the writer is still writing when the reader closes the pipe
+        env = dict(os.environ)
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(root / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wproj.cli", "search", "--weights", "2,3",
+             "--bound", "2", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        # only the config echo: no traceback, no "Exception ignored"
+        assert len(err.decode().splitlines()) == 1, err
