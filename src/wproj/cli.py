@@ -213,7 +213,10 @@ def _emit(
     write = out.write
     hits = iter(points or ())
     if fmt == "plain":
-        write("\n".join(plain_lines) + "\n")
+        # line by line: vojta-scan's one line is its whole JSON report
+        for line in plain_lines:
+            write(line)
+            write("\n")
         for h in hits:
             write(_plain_point(h))
     elif fmt == "json":

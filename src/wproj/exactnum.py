@@ -11,13 +11,13 @@ nothing without a proven error bound.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
 import mpmath
-import sympy
 
 Rational = Union[int, Fraction]
 
@@ -37,6 +37,177 @@ class ParseError(DomainError):
 # ---------------------------------------------------------------------------
 # Prime factorization
 # ---------------------------------------------------------------------------
+
+
+def _nth_root_floor(n: int, k: int) -> int:
+    """floor(n^(1/k)) for integers n >= 0 and k >= 1, exactly."""
+    if n < 0:
+        raise ValueError("n-th root of a negative integer")
+    if k == 1 or n < 2:
+        return n
+    if k == 2:
+        return math.isqrt(n)
+    # Newton's step from x = 2^ceil(bits/k) > n^(1/k): while x is above
+    # floor(n^(1/k)) the step decreases it, and by AM-GM it never goes below
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, by the sieve of Eratosthenes on a bytearray."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
+
+
+# Miller-Rabin to the first k prime bases is correct for every n < psi_k
+# (_PSI[k - 1]), psi_k being the least strong pseudoprime to all of them
+# (Jaeschke 1993 up to psi_8; Jiang and Deng, Math. Comp. 83 (2014) for
+# psi_9 to psi_11; Sorenson and Webster, Math. Comp. 86 (2017) for psi_12
+# and psi_13).  Above psi_13 isprime is the Baillie-PSW test.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """Miller-Rabin to base a for odd n, n - 1 = d * 2^s with d odd."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test for odd n > 2, with Selfridge's
+    parameters: the first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4 (Baillie and Wagstaff, Math. Comp. 35 (1980))."""
+    if math.isqrt(n) ** 2 == n:  # no D would be found
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and D % n:  # 1 < gcd(D, n) < n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # U_k, V_k and Q^k mod n, up the bits of d from k = 1 (P = 1)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # k -> k + 1: U = (U + V)/2, V = (D U + V)/2, halved mod odd n
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U & 1 else U) >> 1
+            V = (V + n if V & 1 else V) >> 1
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def isprime(n: int) -> bool:
+    """Whether n is prime: deterministic Miller-Rabin below psi_13 =
+    3,317,044,064,679,887,385,961,981, and Baillie-PSW (Miller-Rabin to
+    base 2 and a strong Lucas test) above it, which no known composite
+    passes."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor below 43
+        return True
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> s
+    for k, psi in enumerate(_PSI, 1):
+        if n < psi:
+            return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES[:k])
+    return _strong_probable_prime(n, 2, d, s) and _strong_lucas(n)
+
+
+# factor divides out the primes below _TRIAL_BOUND, so a cofactor below
+# its square is 1 or a prime
+_TRIAL_BOUND = 1000
+_TRIAL_PRIMES = _primes_upto(_TRIAL_BOUND)
+# Pollard's rho finds a prime factor p in about sqrt(p) steps of its map, so
+# this budget (about a second per 40-digit cofactor) splits off prime
+# factors up to about 10^11 with near certainty
+_BRENT_STEPS = 1 << 20
+_BRENT_BATCH = 128
+
+
+def _brent(n: int) -> int | None:
+    """A proper divisor of the odd composite n, by Brent's variant of
+    Pollard's rho (Brent, BIT 20 (1980)) on x -> x^2 + c for c = 1, 2, ...;
+    None if none turns up within _BRENT_STEPS steps of the map in all."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps >= _BRENT_STEPS:
+                return None
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_BRENT_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _BRENT_BATCH
+            steps += r + min(k, r)
+            r *= 2
+        if g == n:  # the batch overshot: step again one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 @dataclass(frozen=True)
@@ -60,17 +231,43 @@ class PrimeFactorization:
 
 
 def factor(n: int) -> PrimeFactorization:
-    """Factor a nonzero integer into sign times prime powers.
+    """Factor a nonzero integer into sign times prime powers, exactly.
 
-    Backed by sympy's factorint (trial division, Pollard rho/p-1, ECM),
-    which is deterministic and exact for the desk-scale inputs used here.
+    Trial division by the primes below 1000, then ``isprime`` and Brent's
+    rho on what is left.  A cofactor that rho cannot split within its
+    budget (two prime factors both above about 10^11) goes to
+    ``sympy.factorint`` (ECM among others), imported only then.
     """
     if n == 0:
         raise DomainError("cannot factor 0")
     unit = -1 if n < 0 else 1
-    fac = sympy.factorint(abs(n))
-    factors = tuple(sorted((int(p), int(e)) for p, e in fac.items()))
-    return PrimeFactorization(unit=unit, factors=factors)
+    n = abs(n)
+    fac: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 1
+            n //= p
+            while n % p == 0:
+                n //= p
+                e += 1
+            fac[p] = e
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_BOUND**2 or isprime(m):
+            fac[m] = fac.get(m, 0) + 1
+            continue
+        g = _brent(m)
+        if g is not None:
+            pending += (g, m // g)
+            continue
+        import sympy  # the last resort; nothing else in wproj imports sympy
+
+        for p, e in sympy.factorint(m).items():
+            fac[int(p)] = fac.get(int(p), 0) + e
+    return PrimeFactorization(unit=unit, factors=tuple(sorted(fac.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +282,7 @@ class Place:
     p: int | None  # None means the infinite place
 
     def __post_init__(self) -> None:
-        if self.p is not None and not sympy.isprime(self.p):
+        if self.p is not None and not isprime(self.p):
             raise DomainError(f"finite place requires a prime, got {self.p}")
 
     @property

@@ -38,9 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-import sympy
-
-from .exactnum import DomainError
+from .exactnum import DomainError, _nth_root_floor, _primes_upto
 from .wpoint import (
     WPoint, _levels, _lex_key, _sign_flip, _sign_key, _support_gcd,
     _veronese_image, canonicalize,
@@ -97,13 +95,6 @@ class SearchReport:
 def _floor_pow(B: Fraction, e: int) -> int:
     v = B**e
     return v.numerator // v.denominator
-
-
-def _nth_root_floor(n: int, k: int) -> int:
-    if n < 0:
-        raise ValueError
-    r, _ = sympy.integer_nthroot(n, k)
-    return int(r)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +242,7 @@ def _deflation_profiles(
         # all weights equal after reduction: no fractional deflation exists
         return
     global_max = max(p_max(cost, budgets_m) for _, cost, _ in levels)
-    primes = [int(p) for p in sympy.primerange(2, global_max + 1)]
+    primes = _primes_upto(global_max)
 
     def rec(budgets: tuple[int, ...], start: int) -> Iterator[tuple]:
         bounds = [p_max(cost, budgets) for _, cost, _ in levels]

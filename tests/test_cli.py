@@ -776,3 +776,45 @@ class TestReportOutput:
         assert proc.returncode == 0, err
         # only the config echo: no traceback, no "Exception ignored"
         assert len(err.decode().splitlines()) == 1, err
+
+
+class TestImportPath:
+    """No command on the benchmark's or the README's paths imports sympy:
+    it is only factor's last resort.  One fresh interpreter runs them all
+    and prints, after each, whether sympy has been imported."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "import wproj.cli\n"
+        "print('sympy' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert wproj.cli.main(argv) == 0, argv\n"
+        "    print('sympy' in sys.modules)\n"
+        "from wproj.exactnum import factor\n"
+        "assert factor((10**15 + 37) * (3 * 10**15 + 37)).value() == "
+        "(10**15 + 37) * (3 * 10**15 + 37)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+
+    def test_sympy_stays_unimported_until_a_fallback(self, tmp_path):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        out = str(tmp_path / "out")
+        commands = [
+            ["search", "--weights", "2,3", "--bound", "9/4"],
+            ["vojta-scan", "--weights", "1,2,3", "--poly", str(root / "perfbench/inputs/Y.wpoly"),
+             "--codim", "2", "--primes", "2", "--eps", "1/4,1/2", "--delta", "1/4,1/2",
+             "--samples", "1000", "--box", "1000,1000,1000", "--seed", "1", "--jobs", "1"],
+            ["height", "--weights", "2,4", "--point", "4:8"],
+            ["hgcd", "--a", "12", "--b", "18/5"],
+            ["split-height", "--weights", "2,4,6,10", "--point=-12:360:7000:99", "--primes", "2,3"],
+        ]
+        argvs = [argv + ["--out", out] for argv in commands]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # import, each command, then a factorization that Brent's rho cannot
+        # finish within its budget
+        assert proc.stdout.split() == ["False"] * (1 + len(commands)) + ["True"]

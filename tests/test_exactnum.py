@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from wproj.exactnum import (
     INFINITE_PLACE,
@@ -18,7 +20,11 @@ from wproj.exactnum import (
     FormalLog,
     Place,
     _log_mpf,
+    _nth_root_floor,
+    _primes_upto,
+    _strong_lucas,
     factor,
+    isprime,
     ord_at,
     ord_plus,
 )
@@ -88,6 +94,134 @@ class TestPlace:
             Place(4)
         with pytest.raises(DomainError):
             Place(1)
+
+
+# -- the integer kernel, against sympy as the independent oracle -------------
+
+# psi_k, the least strong pseudoprime to each of the first k prime bases,
+# for k = 1..13 (OEIS A014233; psi_12 and psi_13 from Sorenson and Webster)
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+PSI_13 = PSI[-1]
+# Carmichael numbers: Fermat pseudoprimes to every coprime base
+CARMICHAEL = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161, 1436697831295441,
+    60977817398996785, 7156857700403137441, 1791562810662585767521,
+    87674969936234821377601, 6553130926752006031481761,
+)
+# strong Lucas pseudoprimes for Selfridge's parameters (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309)
+# the numerator that once took sympy's rho 0.6 s: factors up to 1.8e12
+NUMERATOR_37 = 5318260088998847786179945824255999999
+# two primes far above what Brent's rho reaches within its budget
+P_BIG, Q_BIG = 10**15 + 37, 3 * 10**15 + 37
+
+
+def _sympy_factors(n: int) -> tuple:
+    return tuple(sorted((int(p), e) for p, e in sympy.factorint(abs(n)).items()))
+
+
+class TestFactorOracle:
+    @given(st.integers(-(10**24), 10**24).filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_factorint(self, n):
+        f = factor(n)
+        assert f.factors == _sympy_factors(n)
+        assert f.unit == (-1 if n < 0 else 1)
+
+    def test_numerator_37(self):
+        assert factor(NUMERATOR_37).factors == _sympy_factors(NUMERATOR_37)
+
+    def test_prime_powers_and_repeated_factors(self):
+        for n in (1009**2, 1009**3 * 1013, 7919**4 * 2**10, (10**6 + 3) ** 2 * 999983):
+            assert factor(n).factors == _sympy_factors(n)
+
+    def test_beyond_the_budget_falls_back(self, monkeypatch):
+        calls = []
+        factorint = sympy.factorint
+        monkeypatch.setattr(
+            sympy, "factorint", lambda m: calls.append(m) or factorint(m)
+        )
+        n = 4 * P_BIG * Q_BIG
+        assert sympy.isprime(P_BIG) and sympy.isprime(Q_BIG)
+        assert factor(n).factors == ((2, 2), (P_BIG, 1), (Q_BIG, 1))
+        assert calls == [P_BIG * Q_BIG]
+
+
+class TestIsPrimeOracle:
+    def test_data(self):
+        # each psi_k is a strong pseudoprime to the first k prime bases
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+        for k, psi in enumerate(PSI, 1):
+            assert not sympy.isprime(psi)
+            assert all(sympy.ntheory.primetest.mr(psi, [a]) for a in bases[:k])
+        # Korselt: squarefree, and p - 1 divides n - 1 for every p | n
+        for n in CARMICHAEL:
+            fac = sympy.factorint(n)
+            assert len(fac) > 1 and set(fac.values()) == {1}
+            assert all((n - 1) % (p - 1) == 0 for p in fac)
+
+    @pytest.mark.parametrize("n", PSI + CARMICHAEL + STRONG_LUCAS_PSEUDOPRIMES)
+    def test_pseudoprimes(self, n):
+        assert isprime(n) is False
+        for m in (n - 2, n - 1, n + 1, n + 2):
+            assert isprime(m) == sympy.isprime(m)
+
+    def test_small(self):
+        assert [n for n in range(-5, 5000) if isprime(n)] == list(sympy.primerange(0, 5000))
+
+    def test_at_and_above_psi_13(self):
+        for n in range(PSI_13 - 200, PSI_13 + 2000):
+            assert isprime(n) == sympy.isprime(n), n
+
+    @given(st.integers(2, 10**40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sympy(self, n):
+        assert isprime(n) == sympy.isprime(n)
+
+    @given(st.integers(1, 10**30).map(lambda k: 2 * k + 1))
+    @settings(max_examples=300, deadline=None)
+    def test_strong_lucas_matches_sympy(self, n):
+        assert _strong_lucas(n) == is_strong_lucas_prp(n)
+
+    @pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES)
+    def test_strong_lucas_pseudoprimes(self, n):
+        assert _strong_lucas(n) and is_strong_lucas_prp(n)
+
+    @pytest.mark.parametrize("key", [561, PSI_13])
+    def test_composite_keys_rejected(self, key):
+        with pytest.raises(DomainError):
+            Place(key)
+        with pytest.raises(DomainError):
+            FormalLog({key: 1})
+        with pytest.raises(DomainError):
+            FormalLog.of_prime(key)
+
+
+class TestRootsAndSieve:
+    @given(st.integers(1, 40).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(0, 2 ** (300 // k)))
+    ))
+    @settings(max_examples=500, deadline=None)
+    def test_nth_root_matches_integer_nthroot(self, kr):
+        k, r = kr
+        for n in (r**k - 1, r**k, r**k + 1):
+            if n >= 0:
+                assert _nth_root_floor(n, k) == sympy.integer_nthroot(n, k)[0]
+
+    def test_nth_root_rejects_negative(self):
+        with pytest.raises(ValueError):
+            _nth_root_floor(-1, 3)
+
+    @given(st.integers(-3, 10**5))
+    @settings(max_examples=100, deadline=None)
+    def test_sieve_matches_primerange(self, n):
+        assert _primes_upto(n) == list(sympy.primerange(2, n + 1))
 
 
 class TestFormalLog:
@@ -179,8 +313,8 @@ class TestFormalLog:
             min_value=Fraction(1, 1000), max_value=1000
         ).filter(lambda f: f != 0)
     )
-    # no deadline: the first factorization of a large generated numerator
-    # can take sympy's Pollard rho ~0.6 s, and sympy caches it afterwards
+    # no deadline: a generated numerator with two prime factors near 10^12
+    # takes Brent's rho a good fraction of a second
     @settings(max_examples=200, deadline=None)
     def test_of_log_numeric(self, a):
         assert abs(FormalLog.of_log(a).to_float() - math.log(abs(a))) < 1e-12
