@@ -24,6 +24,7 @@ from .wpoint import (
     canonicalize,
     equals,
     normalize,
+    parse_coords,
     parse_point,
     wgcd,
 )
@@ -43,25 +44,12 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _rationals(text: str) -> list[Fraction]:
-    try:
-        return [Fraction(part) for part in text.split(":")]
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed point/tuple {text!r}")
-
-
 def _int_tuple(text: str, w: WeightVector) -> tuple[int, ...]:
-    coords = _rationals(text)
-    out = []
+    coords = parse_coords(text, w)
     for c in coords:
         if c.denominator != 1:
             raise UsageError(f"expected integer coordinates, got {c}")
-        out.append(c.numerator)
-    if len(out) != len(w.q):
-        raise UsageError(
-            f"tuple has {len(out)} coordinates but weights have {len(w.q)}"
-        )
-    return tuple(out)
+    return tuple(c.numerator for c in coords)
 
 
 def _fraction(text: str) -> Fraction:
@@ -320,10 +308,7 @@ def _cmd_height(args, out: _Output) -> None:
 
 def _cmd_hwgcd(args, out: _Output) -> None:
     w = parse_weights(args.weights)
-    coords = _rationals(args.tuple)
-    if len(coords) != len(w.q):
-        raise UsageError("tuple/weights length mismatch")
-    g = hwgcd_mult(coords, w)
+    g = hwgcd_mult(parse_coords(args.tuple, w), w)
     _emit(
         out,
         args,

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from ._fanout import fan_out
 from .exactnum import DomainError, _nth_root_floor, _primes_upto
 from .wpoint import (
     WPoint, _levels, _lex_key, _sign_flip, _sign_key, _support_gcd,
@@ -173,22 +173,13 @@ def _scan_chunk(args) -> tuple[list[tuple[int, ...]], int]:
 
 
 def _scan_box(terms, ranges, jobs: int) -> tuple[list[tuple[int, ...]], int]:
-    if any(len(r) == 0 for r in ranges):
-        return [], 0
-    if jobs <= 1 or len(ranges[0]) < 2:
-        return _scan_chunk((terms, ranges))
+    """The phase-1 box scan, on up to ``jobs`` contiguous runs of the first
+    axis."""
     first = ranges[0]
-    # one worker per nonempty chunk
     k = min(jobs, len(first))
-    work = [(terms, [first[i::k]] + list(ranges[1:])) for i in range(k)]
-    sols: list[tuple[int, ...]] = []
-    count = 0
-    with ProcessPoolExecutor(max_workers=k) as pool:
-        for part, n in pool.map(_scan_chunk, work):
-            sols.extend(part)
-            count += n
-    sols.sort()
-    return sols, count
+    runs = [first[len(first) * i // k : len(first) * (i + 1) // k] for i in range(k)]
+    parts = fan_out(_scan_chunk, [(terms, [run, *ranges[1:]]) for run in runs], jobs)
+    return [x for sols, _ in parts for x in sols], sum(n for _, n in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +347,7 @@ def _phase2_candidates(
             ]
             ranges[j] = list(range(1, radii[j] + 1))
             terms = _substituted_terms(poly, support, divisors)
-            sols, c = _scan_box(terms, ranges, jobs=1)
+            sols, c = _scan_chunk((terms, ranges))
             # count both sign patterns: the residual box is twice the half
             count += 2 * c
             for y in sols:

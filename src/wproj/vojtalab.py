@@ -11,14 +11,15 @@ candidates for the exceptional zero locus.  Measurement, not proof.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._fanout import fan_out
 from .exactnum import INFINITE_PLACE, DomainError, FormalLog, Place
 from .wheight import local_height, split_height_S
 from .wpoint import WPoint, wgcd_tuple
@@ -220,25 +221,9 @@ def _make_record(config: ScanConfig, alpha: tuple[int, ...]) -> ScanRecord:
     return ScanRecord(alpha, False, lhs, height_term, sunit, tuple(margins))
 
 
-def _record_batch(args) -> list[ScanRecord]:
-    config, alphas = args
-    return [_make_record(config, a) for a in alphas]
-
-
 def scan(config: ScanConfig) -> ScanReport:
     alphas = _sample_tuples(config)
-    if config.jobs > 1 and len(alphas) > 1:
-        # one worker per nonempty batch
-        k = min(config.jobs, len(alphas))
-        batches = [(config, alphas[i::k]) for i in range(k)]
-        with ProcessPoolExecutor(max_workers=k) as pool:
-            parts = list(pool.map(_record_batch, batches))
-        # reinterleave to the original sample order
-        records: list[ScanRecord | None] = [None] * len(alphas)
-        for i, part in enumerate(parts):
-            records[i::k] = part
-    else:
-        records = [_make_record(config, a) for a in alphas]
+    records = fan_out(functools.partial(_make_record, config), alphas, config.jobs)
 
     zero_count = sum(
         1 for r in records if not r.on_subscheme and any(a == 0 for a in r.alpha)

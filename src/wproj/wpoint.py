@@ -212,14 +212,19 @@ def veronese(x: WPoint) -> tuple[int, ...]:
     return tuple(out)
 
 
-def parse_point(text: str, w: WeightVector) -> WPoint:
-    """Parse colon-separated rational coordinates, e.g. '1/2:4:8'."""
+def parse_coords(text: str, w: WeightVector) -> list[Fraction]:
+    """Colon-separated rational coordinates, one per weight, e.g. '1/2:4:8'."""
     try:
         coords = [Fraction(part) for part in text.split(":")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"malformed point {text!r}") from exc
+        raise ParseError(f"malformed coordinates {text!r}") from exc
     if len(coords) != len(w.q):
         raise ParseError(
-            f"point has {len(coords)} coordinates but weights have {len(w.q)}"
+            f"{text!r} has {len(coords)} coordinates but the weights have {len(w.q)}"
         )
-    return integralize(coords, w)
+    return coords
+
+
+def parse_point(text: str, w: WeightVector) -> WPoint:
+    """The point with coordinates ``parse_coords(text, w)``, integralized."""
+    return integralize(parse_coords(text, w), w)

@@ -18,7 +18,6 @@ from .exactnum import (
 )
 from .wheight import _support_primes, local_height
 from .wpoint import WPoint, _level
-from .wspace import WeightVector
 
 
 def _eval_terms(terms, point) -> int:
@@ -31,6 +30,13 @@ def _eval_terms(terms, point) -> int:
                 v *= x**e
         total += v
     return total
+
+
+def _monomial_str(names, exps) -> str:
+    body = " ".join(
+        (n if e == 1 else f"{n}^{e}") for n, e in zip(names, exps) if e > 0
+    )
+    return body or "1"
 
 
 @dataclass(frozen=True)
@@ -58,13 +64,9 @@ class WPoly:
             return "0"
         parts = []
         for k, (coeff, exps) in enumerate(self.terms):
-            mono = " ".join(
-                (name if e == 1 else f"{name}^{e}")
-                for name, e in zip(self.vars, exps)
-                if e > 0
-            )
-            mag = abs(coeff)
-            body = mono if (mag == 1 and mono) else (f"{mag} {mono}".strip())
+            mag, body = abs(coeff), _monomial_str(self.vars, exps)
+            if mag != 1:
+                body = str(mag) if body == "1" else f"{mag} {body}"
             if k == 0:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -97,7 +99,7 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse(text: str, weights: dict[str, int] | None = None, *, w: WeightVector | None = None, var_names: Sequence[str] | None = None) -> WPoly:
+def parse(text: str, weights: dict[str, int]) -> WPoly:
     """Parse polynomial text against a name -> weight table.
 
     Grammar: poly := ['-'] term (('+'|'-') term)*;  term := [integer]
@@ -105,10 +107,6 @@ def parse(text: str, weights: dict[str, int] | None = None, *, w: WeightVector |
     '*') is product.  Rejects inhomogeneous input, listing the offending
     monomials with their weighted degrees.
     """
-    if weights is None:
-        if w is None or var_names is None:
-            raise DomainError("need a weights table or (w, var_names)")
-        weights = dict(zip(var_names, w.q))
     names = tuple(weights)
     index = {n: i for i, n in enumerate(names)}
     qs = tuple(weights[n] for n in names)
@@ -189,13 +187,6 @@ def parse(text: str, weights: dict[str, int] | None = None, *, w: WeightVector |
     return WPoly(vars=names, weights=qs, terms=tuple(clean), degree=degrees.pop())
 
 
-def _monomial_str(names, exps) -> str:
-    body = " ".join(
-        (n if e == 1 else f"{n}^{e}") for n, e in zip(names, exps) if e > 0
-    )
-    return body or "1"
-
-
 # ---------------------------------------------------------------------------
 # .wpoly files: a 'weights:' header line plus one polynomial per stanza
 # ---------------------------------------------------------------------------
@@ -217,9 +208,14 @@ def parse_wpoly_file(text: str) -> tuple[dict[str, int], list[WPoly]]:
             for part in stripped[len("weights:") :].split():
                 name, _, qtext = part.partition("=")
                 try:
-                    weights[name.strip()] = int(qtext)
+                    q = int(qtext)
                 except ValueError:
                     raise ParseError(f"bad weights entry {part!r}") from None
+                if name in weights:
+                    raise ParseError(f"variable {name!r} named twice in the weights header")
+                if q < 1:
+                    raise DomainError("weights must be positive integers")
+                weights[name] = q
             continue
         if not stripped:
             if current:

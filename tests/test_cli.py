@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -46,6 +45,18 @@ class TestExitCodes:
     def test_usage_error_length_mismatch(self, capsys):
         code, _, _ = run(capsys, "wgcd", "--weights", "2,4", "--tuple", "1:2:3")
         assert code == 2
+
+    def test_one_wording_for_a_coordinate_count_mismatch(self, capsys):
+        errors = set()
+        for argv in (
+            ["wgcd", "--weights", "2,4", "--tuple", "1:2:3"],
+            ["hwgcd", "--weights", "2,4", "--tuple", "1:2:3"],
+            ["height", "--weights", "2,4", "--point", "1:2:3"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            errors.add(err.splitlines()[-1])
+        assert errors == {"usage error: '1:2:3' has 3 coordinates but the weights have 2"}
 
     def test_parser_errors_are_usage_errors(self, capsys):
         for argv in (
@@ -107,14 +118,11 @@ class TestJobs:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        for module in ("wproj.search", "wproj.vojtalab"):
-            monkeypatch.setattr(
-                importlib.import_module(module), "ProcessPoolExecutor", RecordingPool
-            )
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         # the phase-1 box of P(1,1) at B = 1 has 3 values of x0
         code, _, _ = run(capsys, "search", "--weights", "1,1", "--bound", "1", "--jobs", "8")
         assert (code, sizes) == (0, [3])
@@ -288,6 +296,14 @@ class TestPolyCommands:
         path.write_text("weights: x0=1\n\nx0 + %\n")
         code, _, err = run(capsys, "poly-check", "--poly", str(path))
         assert code == 2
+
+    def test_poly_check_bad_weights_header(self, capsys, tmp_path):
+        path = tmp_path / "bad.wpoly"
+        for header, expected in (("x=1 x=2", 2), ("x=0 y=0", 1), ("x=1 y=-2", 1)):
+            path.write_text(f"weights: {header}\n\nx\n")
+            code, out, err = run(capsys, "poly-check", "--poly", str(path))
+            assert (code, out) == (expected, ""), header
+            assert "Traceback" not in err
 
     def test_poly_eval(self, capsys, poly_file):
         code, out, _ = run(capsys, "poly-eval", "--poly", poly_file, "--point", "3:4")
@@ -780,16 +796,21 @@ class TestReportOutput:
 
 class TestImportPath:
     """No command on the benchmark's or the README's paths imports sympy:
-    it is only factor's last resort.  One fresh interpreter runs them all
-    and prints, after each, whether sympy has been imported."""
+    it is only factor's last resort.  At --jobs 1 none of them loads the
+    process pool's modules either.  One fresh interpreter runs them all and
+    prints, after the import and after each command, which of sympy,
+    concurrent.futures and multiprocessing have been imported."""
 
     SCRIPT = (
         "import json, sys\n"
+        "def loaded():\n"
+        "    names = ('sympy', 'concurrent.futures', 'multiprocessing')\n"
+        "    print(json.dumps([m for m in names if m in sys.modules]))\n"
         "import wproj.cli\n"
-        "print('sympy' in sys.modules)\n"
+        "loaded()\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert wproj.cli.main(argv) == 0, argv\n"
-        "    print('sympy' in sys.modules)\n"
+        "    loaded()\n"
         "from wproj.exactnum import factor\n"
         "assert factor((10**15 + 37) * (3 * 10**15 + 37)).value() == "
         "(10**15 + 37) * (3 * 10**15 + 37)\n"
@@ -800,7 +821,7 @@ class TestImportPath:
         root = pathlib.Path(__file__).resolve().parent.parent
         out = str(tmp_path / "out")
         commands = [
-            ["search", "--weights", "2,3", "--bound", "9/4"],
+            ["search", "--weights", "2,3", "--bound", "9/4", "--jobs", "1"],
             ["vojta-scan", "--weights", "1,2,3", "--poly", str(root / "perfbench/inputs/Y.wpoly"),
              "--codim", "2", "--primes", "2", "--eps", "1/4,1/2", "--delta", "1/4,1/2",
              "--samples", "1000", "--box", "1000,1000,1000", "--seed", "1", "--jobs", "1"],
@@ -817,4 +838,4 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         # import, each command, then a factorization that Brent's rho cannot
         # finish within its budget
-        assert proc.stdout.split() == ["False"] * (1 + len(commands)) + ["True"]
+        assert proc.stdout.splitlines() == ["[]"] * (1 + len(commands)) + ["True"]

@@ -204,6 +204,22 @@ class TestDeterminism:
         assert runs[0] == runs[1]
         assert (3, 4, 5) in {tuple(sorted(abs(c) for c in h)) for h in runs[0]}
 
+    def test_sieved_box_across_worker_counts(self):
+        # the phase-1 box is 29^3 = 24,389 tuples and each worker's run of
+        # x0 is still above _FAST_PATH_VOLUME, so the modular sieve runs in
+        # the workers
+        w = classify([1, 1, 1])
+        f = parse_poly("x0^2 + x1^2 - x2^2", {"x0": 1, "x1": 1, "x2": 1})
+        assert 14 * 29**2 > _FAST_PATH_VOLUME
+        reports = [
+            search(SearchConfig(w, Fraction(14), hypersurface=f, jobs=jobs))
+            for jobs in (1, 2)
+        ]
+        one, two = ((_summary(r.hits), r.phase1_candidates, r.phase2_candidates)
+                    for r in reports)
+        assert one == two
+        assert (len(one[0]), one[1]) == (20, 29**3)
+
 
 class TestBruteForceOracle:
     def test_radius_zero_empty(self):

@@ -155,6 +155,16 @@ a^4
         with pytest.raises(ParseError, match="no polynomials"):
             parse_wpoly_file("weights: a=1\n")
 
+    def test_variable_named_twice(self):
+        with pytest.raises(ParseError, match="'x' named twice"):
+            parse_wpoly_file("weights: x=1 x=2\n\nx\n")
+
+    def test_weight_below_one(self):
+        for header in ("weights: x=0 y=0", "weights: x=1 y=-1"):
+            with pytest.raises(DomainError, match="positive") as info:
+                parse_wpoly_file(header + "\n\nx\n")
+            assert not isinstance(info.value, ParseError)
+
     def test_non_integer_weight_entry(self):
         for header in ("weights: a=x", "weights: a", "weights: a="):
             with pytest.raises(ParseError, match="bad weights entry"):
