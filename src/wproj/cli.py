@@ -236,11 +236,12 @@ def _emit(
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its report as the arguments of `_emit`
+# after `out` and `args`, (result, plain_lines[, points]); `main` writes it
 # ---------------------------------------------------------------------------
 
 
-def _cmd_factor(args, out: _Output) -> None:
+def _cmd_factor(args) -> tuple:
     try:
         n = int(args.n)
     except ValueError:
@@ -251,50 +252,46 @@ def _cmd_factor(args, out: _Output) -> None:
     ) or "1"
     if f.unit < 0:
         body = "-" + body
-    _emit(
-        out,
-        args,
+    return (
         {"n": n, "unit": f.unit, "factors": [list(t) for t in f.factors]},
         [body],
     )
 
 
-def _cmd_wgcd(args, out: _Output) -> None:
+def _cmd_wgcd(args) -> tuple:
     w = parse_weights(args.weights)
     x = WPoint(w, _int_tuple(args.tuple, w))
     g = wgcd(x)
-    _emit(out, args, {"weights": str(w), "tuple": str(x), "wgcd": g}, [str(g)])
+    return {"weights": str(w), "tuple": str(x), "wgcd": g}, [str(g)]
 
 
-def _cmd_normalize(args, out: _Output) -> None:
+def _cmd_normalize(args) -> tuple:
     w = parse_weights(args.weights)
     y = normalize(WPoint(w, _int_tuple(args.tuple, w)))
     text = ":".join(str(c) for c in y.coords)
-    _emit(out, args, {"weights": str(w), "normalized": text}, [text])
+    return {"weights": str(w), "normalized": text}, [text]
 
 
-def _cmd_canonical(args, out: _Output) -> None:
+def _cmd_canonical(args) -> tuple:
     w = parse_weights(args.weights)
     y = canonicalize(WPoint(w, _int_tuple(args.tuple, w)))
     text = ":".join(str(c) for c in y.coords)
-    _emit(out, args, {"weights": str(w), "canonical": text}, [text])
+    return {"weights": str(w), "canonical": text}, [text]
 
 
-def _cmd_equals(args, out: _Output) -> None:
+def _cmd_equals(args) -> tuple:
     w = parse_weights(args.weights)
     a = WPoint(w, _int_tuple(args.left, w))
     b = WPoint(w, _int_tuple(args.right, w))
     same = equals(a, b)
-    _emit(out, args, {"weights": str(w), "equal": same}, ["true" if same else "false"])
+    return {"weights": str(w), "equal": same}, ["true" if same else "false"]
 
 
-def _cmd_height(args, out: _Output) -> None:
+def _cmd_height(args) -> tuple:
     w = parse_weights(args.weights)
     x = parse_point(args.point, w)
     h = lwh(x)
-    _emit(
-        out,
-        args,
+    return (
         {
             "weights": str(w),
             "representative": str(x),
@@ -306,12 +303,10 @@ def _cmd_height(args, out: _Output) -> None:
     )
 
 
-def _cmd_hwgcd(args, out: _Output) -> None:
+def _cmd_hwgcd(args) -> tuple:
     w = parse_weights(args.weights)
     g = hwgcd_mult(parse_coords(args.tuple, w), w)
-    _emit(
-        out,
-        args,
+    return (
         {
             "weights": str(w),
             "hwgcd": g,
@@ -322,25 +317,21 @@ def _cmd_hwgcd(args, out: _Output) -> None:
     )
 
 
-def _cmd_hgcd(args, out: _Output) -> None:
+def _cmd_hgcd(args) -> tuple:
     v = hgcd(_fraction(args.a), _fraction(args.b))
-    _emit(
-        out,
-        args,
+    return (
         {"a": str(args.a), "b": str(args.b), "hgcd": _flog_fields(v)},
         [v.symbolic(), v.decimal(15)],
     )
 
 
-def _cmd_split_height(args, out: _Output) -> None:
+def _cmd_split_height(args) -> tuple:
     w = parse_weights(args.weights)
     x = parse_point(args.point, w)
     S = set(_int_list(args.primes)) if args.primes else set()
     divisor = list(_int_list(args.divisor)) if args.divisor else None
     sh = split_height_S(x, S, divisor)
-    _emit(
-        out,
-        args,
+    return (
         {
             "weights": str(w),
             "point": str(x),
@@ -357,14 +348,12 @@ def _cmd_split_height(args, out: _Output) -> None:
     )
 
 
-def _cmd_poly_check(args, out: _Output) -> None:
+def _cmd_poly_check(args) -> tuple:
     weights, polys = _load_wpoly(args.poly)
     lines = [f"weights: {' '.join(f'{n}={q}' for n, q in weights.items())}"]
     for f in polys:
         lines.append(f"degree {f.degree}: {f}")
-    _emit(
-        out,
-        args,
+    return (
         {
             "weights": weights,
             "polynomials": [str(f) for f in polys],
@@ -374,28 +363,21 @@ def _cmd_poly_check(args, out: _Output) -> None:
     )
 
 
-def _cmd_poly_eval(args, out: _Output) -> None:
+def _cmd_poly_eval(args) -> tuple:
     weights, polys = _load_wpoly(args.poly)
     w = classify(list(weights.values()))
     x = parse_point(args.point, w)
     values = [f.eval(x.coords) for f in polys]
-    _emit(
-        out,
-        args,
-        {"point": str(x), "values": values},
-        [str(v) for v in values],
-    )
+    return {"point": str(x), "values": values}, [str(v) for v in values]
 
 
-def _cmd_subscheme_height(args, out: _Output) -> None:
+def _cmd_subscheme_height(args) -> tuple:
     weights, polys = _load_wpoly(args.poly)
     w = classify(list(weights.values()))
     spec = SubschemeSpec(tuple(polys), args.codim)
     x = parse_point(args.point, w)
     h = global_height_Y(spec, x)
-    _emit(
-        out,
-        args,
+    return (
         {
             "point": str(x),
             "asserted_codim": spec.asserted_codim,
@@ -405,29 +387,24 @@ def _cmd_subscheme_height(args, out: _Output) -> None:
     )
 
 
-def _cmd_singular(args, out: _Output) -> None:
+def _cmd_singular(args) -> tuple:
     w = parse_weights(args.weights)
     coords = _int_tuple(args.tuple, w)
     s = is_singular(w, coords)
-    _emit(out, args, {"weights": str(w), "singular": s}, ["true" if s else "false"])
+    return {"weights": str(w), "singular": s}, ["true" if s else "false"]
 
 
-def _cmd_reduce_weights(args, out: _Output) -> None:
+def _cmd_reduce_weights(args) -> tuple:
     w = parse_weights(args.weights)
     red, d = reduce_weights(w)
-    _emit(
-        out,
-        args,
-        {"weights": str(w), "reduced": str(red), "d": d},
-        [str(red), f"d: {d}"],
-    )
+    return {"weights": str(w), "reduced": str(red), "d": d}, [str(red), f"d: {d}"]
 
 
-def _cmd_search(args, out: _Output) -> None:
+def _cmd_search(args) -> tuple:
     w = parse_weights(args.weights)
     B = _fraction(args.bound)
     poly = None
-    nonvanishing: frozenset[int] = frozenset()
+    names: dict[str, int] = {}  # header variable -> coordinate index
     if args.poly:
         weights, polys = _load_wpoly(args.poly)
         if len(polys) != 1:
@@ -435,21 +412,17 @@ def _cmd_search(args, out: _Output) -> None:
         if tuple(weights.values()) != w.q:
             raise UsageError("polynomial weights do not match --weights")
         poly = polys[0]
-        if args.require_nonzero:
-            names = list(weights)
-            idx = set()
-            for name in args.require_nonzero.split(","):
-                name = name.strip()
-                if name in names:
-                    idx.add(names.index(name))
-                else:
-                    try:
-                        idx.add(int(name))
-                    except ValueError:
-                        raise UsageError(f"unknown coordinate {name!r}")
-            nonvanishing = frozenset(idx)
-    elif args.require_nonzero:
-        nonvanishing = frozenset(_int_list(args.require_nonzero))
+        names = {name: i for i, name in enumerate(weights)}
+    idx = set()
+    if args.require_nonzero:
+        # each token is a header name (with --poly) or a coordinate index
+        for token in args.require_nonzero.split(","):
+            token = token.strip()
+            try:
+                idx.add(names[token] if token in names else int(token))
+            except ValueError:
+                raise UsageError(f"unknown coordinate {token!r}")
+    nonvanishing = frozenset(idx)
     config = SearchConfig(
         w=w,
         bound=B,
@@ -470,10 +443,10 @@ def _cmd_search(args, out: _Output) -> None:
         "wall_time_seconds": round(report.wall_time, 3),
     }
     header = f"# {len(report.hits)} points, wh^{w.m} <= {str(B**w.m)}"
-    _emit(out, args, result, [header], report.hits)
+    return result, [header], report.hits
 
 
-def _cmd_vojta_scan(args, out: _Output) -> None:
+def _cmd_vojta_scan(args) -> tuple:
     w = parse_weights(args.weights)
     weights, polys = _load_wpoly(args.poly)
     if tuple(weights.values()) != w.q:
@@ -496,7 +469,7 @@ def _cmd_vojta_scan(args, out: _Output) -> None:
     )
     report = vojtalab.scan(config)
     # vojta-scan has no --format: its report is one line of JSON
-    _emit(out, args, None, [report.to_json()])
+    return None, [report.to_json()]
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(fn=_cmd_factor)
 
-    for name, fn, extra in [
-        ("wgcd", _cmd_wgcd, ["tuple"]),
-        ("normalize", _cmd_normalize, ["tuple"]),
-        ("canonical", _cmd_canonical, ["tuple"]),
-        ("singular", _cmd_singular, ["tuple"]),
+    for name, fn in [
+        ("wgcd", _cmd_wgcd),
+        ("normalize", _cmd_normalize),
+        ("canonical", _cmd_canonical),
+        ("singular", _cmd_singular),
     ]:
         sp = sub.add_parser(name)
         sp.add_argument("--weights", required=True)
@@ -653,7 +626,7 @@ def main(argv=None) -> int:
         out = _Output(args.out)
         ok = False
         try:
-            args.fn(args, out)
+            _emit(out, args, *args.fn(args))
             ok = True
         finally:
             out.close(ok)

@@ -223,12 +223,6 @@ class PrimeFactorization:
             n *= p**e
         return n
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
 
 def factor(n: int) -> PrimeFactorization:
     """Factor a nonzero integer into sign times prime powers, exactly.
@@ -408,6 +402,8 @@ class FormalLog:
         alpha = _as_fraction(alpha)
         if alpha == 0:
             raise DomainError("log of 0")
+        if abs(alpha) == 1:  # log 1 = 0, with nothing to factor
+            return cls.zero()
         # numerator and denominator are coprime: no prime appears twice
         coeffs = {p: Fraction(e) for p, e in factor(alpha.numerator).factors}
         for p, e in factor(alpha.denominator).factors:

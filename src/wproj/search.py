@@ -7,9 +7,10 @@ for its point exactly when
   (i) its level c_p = min_{i in T} v_p(x_i)/q_i is below 1/d_T at every
       prime p (otherwise lambda = p^{-1/d_T} keeps x integral), and
   (ii) x is the ``_sign_key`` minimum of its two sign patterns.
-Phase 1 keeps the box tuples that meet (i) and (ii) as they stand, phase 2
-builds only such tuples, each once; no candidate is canonicalized or
-deduplicated, and none from phase 2 is factored.
+Phase 1 keeps the box tuples that ``wpoint._canonical_coords`` returns
+unchanged, which are those meeting (i) and (ii); phase 2 builds only such
+tuples, each once.  No candidate is deduplicated, and none from phase 2 is
+factored.
 
 Completeness strategy (two phases).  Phase 1 scans the base box
 |x_i| <= floor(B^{q_i}), which contains every point whose finite
@@ -39,10 +40,7 @@ from typing import Iterator, Sequence
 
 from ._fanout import fan_out
 from .exactnum import DomainError, _nth_root_floor, _primes_upto
-from .wpoint import (
-    WPoint, _levels, _lex_key, _sign_flip, _sign_key, _support_gcd,
-    _veronese_image, canonicalize,
-)
+from .wpoint import WPoint, _canonical_coords, _lex_key, _wh_m, canonicalize
 from .wpoly import WPoly, _eval_terms
 from .wspace import WeightVector
 
@@ -363,14 +361,6 @@ def _phase2_candidates(
     return out, count
 
 
-def _is_canonical(x: tuple[int, ...], q: Sequence[int]) -> bool:
-    """The one canonicity rule, (i) and (ii) of the module docstring, read
-    as stated: a tuple with gcd 1 has no level to test."""
-    return all(
-        c * _support_gcd(x, q) < 1 for c in _levels(x, q).values()
-    ) and _sign_key(x) < _sign_key(_sign_flip(x, q))
-
-
 def _collect(
     config: SearchConfig, candidates: Sequence[tuple[int, ...]]
 ) -> list[SearchHit]:
@@ -387,7 +377,7 @@ def _collect(
     for coords in candidates:
         if any(coords[i] == 0 for i in config.nonvanishing):
             continue
-        whm = max(map(abs, _veronese_image(coords, w)))
+        whm = _wh_m(coords, w)
         if whm > Bm:
             continue
         vanishing = tuple(i for i, c in enumerate(coords) if c == 0)
@@ -445,8 +435,8 @@ def search(config: SearchConfig) -> SearchReport:
     if B >= 1:
         terms = config.hypersurface.terms if config.hypersurface else None
         sols, p1_count = _scan_box(terms, _phase1_ranges(w, B), config.jobs)
-        # the box tuples that are canonical as they stand; none is canonicalized
-        candidates = [x for x in sols if any(x) and _is_canonical(x, w.q)]
+        # the box tuples that are canonical as they stand
+        candidates = [x for x in sols if any(x) and _canonical_coords(x, w.q) == x]
         if config.phase2:
             extra, p2_count = _phase2_candidates(
                 w, B, config.hypersurface, config.nonvanishing
@@ -492,6 +482,6 @@ def brute_force_oracle(
     for tup in itertools.product(*ranges):
         if all(c == 0 for c in tup):
             continue
-        if max(map(abs, _veronese_image(tup, w))) <= Bm:
+        if _wh_m(tup, w) <= Bm:
             out.add(canonicalize(WPoint(w, tup)).coords)
     return out

@@ -18,7 +18,7 @@ from .exactnum import (
     factor,
     ord_plus,
 )
-from .wpoint import WPoint, _level, _levels, _veronese_image, wgcd_tuple
+from .wpoint import WPoint, _level, _levels, _wh_m, wgcd_tuple
 from .wspace import WeightVector
 
 
@@ -63,7 +63,7 @@ def lwh(x: WPoint) -> FormalLog:
 def wh_m_power(x: WPoint) -> int:
     """The exact integer wh(x)^m, via the classical height of the Veronese
     image: max |coordinate| after gcd reduction."""
-    return max(map(abs, _veronese_image(x.coords, x.w)))
+    return _wh_m(x.coords, x.w)
 
 
 def hgcd(alpha: Rational, beta: Rational) -> FormalLog:
@@ -96,9 +96,8 @@ def log_hwgcd_point(x: WPoint) -> FormalLog:
     term: min_i floor(nu_oo+(x_i)/q_i), identically 0 on integer
     representatives since nonzero integers have nu_oo+ = 0.
     """
-    g = x.cached_wgcd
     # archimedean floor is 0: every nonzero integer has |x| >= 1
-    return FormalLog.of_log(g) if g > 1 else FormalLog.zero()
+    return FormalLog.of_log(x.cached_wgcd)
 
 
 def log_hwgcd_tuple(coords: Sequence[Rational], w: WeightVector) -> FormalLog:
@@ -110,8 +109,7 @@ def log_hwgcd_tuple(coords: Sequence[Rational], w: WeightVector) -> FormalLog:
     xs = [Fraction(c) for c in coords]
     if all(c == 0 for c in xs):
         raise DomainError("all-zero tuple")
-    h = hwgcd_mult(xs, w)
-    total = FormalLog.of_log(h) if h > 1 else FormalLog.zero()
+    total = FormalLog.of_log(hwgcd_mult(xs, w))
     arch = None
     for c, qi in zip(xs, w.q):
         if c == 0:
@@ -180,5 +178,4 @@ def classical_height_log(coords: Sequence[int]) -> FormalLog:
     g = math.gcd(*coords)
     if g == 0:
         raise DomainError("all-zero tuple")
-    h = max(abs(c) for c in coords) // g
-    return FormalLog.of_log(h) if h > 1 else FormalLog.zero()
+    return FormalLog.of_log(max(abs(c) for c in coords) // g)

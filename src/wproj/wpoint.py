@@ -135,38 +135,42 @@ def _sign_flip(coords: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(-c if (qi // ds) % 2 else c for c, qi in zip(coords, q))
 
 
-def _lex_key(coords: Sequence[int]) -> tuple:
-    # positive before negative at equal magnitude; magnitudes compare first
-    return tuple((abs(c), 0 if c >= 0 else 1) for c in coords)
+def _lex_key(coords: Sequence[int]) -> tuple[int, ...]:
+    # magnitudes compare first; at equal magnitude positive before negative
+    return tuple(2 * abs(c) + (c < 0) for c in coords)
 
 
 def _sign_key(coords: Sequence[int]) -> tuple:
     """Orbit tie-break: last nonzero coordinate positive wins, then lex."""
     last = max(i for i, c in enumerate(coords) if c != 0)
-    return (0 if coords[last] > 0 else 1, _lex_key(coords))
+    return (coords[last] < 0, _lex_key(coords))
 
 
-def canonicalize(x: WPoint) -> WPoint:
-    """Unique orbit representative under the full rational scaling action.
+def _canonical_coords(coords: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The coordinates of the unique orbit representative of a nonzero
+    integer tuple under the full rational scaling action.
 
     Stage 1 divides, per prime p, by p^{q_i t_p} with
     t_p = floor(ds * c_p) / ds, c_p the level from ``_levels`` and ds the
-    gcd of the weights on the point's support (zero coordinates impose no
+    gcd of the weights on the tuple's support (zero coordinates impose no
     constraint on lambda, so the support lattice is the right one); the
     level left at p is c_p - t_p < 1/ds, so one pass suffices.
-    Stage 2 picks the lexicographically smallest of the <= 2 sign patterns
+    Stage 2 picks the ``_sign_key`` minimum of the two sign patterns
     reachable by roots of unity.  Idempotent; equivalent inputs agree.
     """
-    q = x.w.q
-    ds = _support_gcd(x.coords, q)
-    coords = list(x.coords)
+    ds = _support_gcd(coords, q)
     for p, c in _levels(coords, q).items():
         t = math.floor(ds * c)
         if t:
             coords = [v // p ** (qi * t // ds) for v, qi in zip(coords, q)]
     stage1 = tuple(coords)
-    best = min(stage1, _sign_flip(stage1, q), key=_sign_key)
-    return WPoint(x.w, best)
+    return min(stage1, _sign_flip(stage1, q), key=_sign_key)
+
+
+def canonicalize(x: WPoint) -> WPoint:
+    """Unique orbit representative under the full rational scaling action:
+    the point with coordinates ``_canonical_coords``."""
+    return WPoint(x.w, _canonical_coords(x.coords, x.w.q))
 
 
 def equals(x: WPoint, y: WPoint) -> bool:
@@ -198,6 +202,12 @@ def _veronese_image(coords: Sequence[int], w: WeightVector) -> list[int]:
     raw = [c ** (w.m // q) for c, q in zip(coords, w.q)]
     g = math.gcd(*raw)
     return [c // g for c in raw]
+
+
+def _wh_m(coords: Sequence[int], w: WeightVector) -> int:
+    """The exact integer wh(x)^m of a nonzero integer tuple: the classical
+    height of its Veronese image."""
+    return max(map(abs, _veronese_image(coords, w)))
 
 
 def veronese(x: WPoint) -> tuple[int, ...]:

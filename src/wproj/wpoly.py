@@ -78,7 +78,8 @@ def _grevlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*^]))")
+_IDENT = r"[A-Za-z_]\w*"
+_TOKEN = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT})|(?P<op>[-+*^]))")
 
 
 def _tokenize(text: str):
@@ -211,6 +212,9 @@ def parse_wpoly_file(text: str) -> tuple[dict[str, int], list[WPoly]]:
                     q = int(qtext)
                 except ValueError:
                     raise ParseError(f"bad weights entry {part!r}") from None
+                if not re.fullmatch(_IDENT, name):
+                    # no polynomial could name it
+                    raise ParseError(f"variable name {name!r} is not an identifier")
                 if name in weights:
                     raise ParseError(f"variable {name!r} named twice in the weights header")
                 if q < 1:
@@ -263,8 +267,7 @@ def _log_gcd_values(values: Sequence[int]) -> FormalLog | None:
     nonzero = [abs(v) for v in values if v != 0]
     if not nonzero:
         return None
-    g = math.gcd(*nonzero)
-    return FormalLog.of_log(g) if g > 1 else FormalLog.zero()
+    return FormalLog.of_log(math.gcd(*nonzero))
 
 
 def _local_height_Y_values(
@@ -295,16 +298,22 @@ def local_height_Y(spec: SubschemeSpec, x: WPoint, place: Place) -> FormalLog | 
     return _local_height_Y_values(spec, x, values, place)
 
 
+def _finite_height_Y(spec: SubschemeSpec, x: WPoint, values: Sequence[int]) -> FormalLog:
+    """Sum of the finite local subscheme heights, from the values f_j(x)."""
+    total = FormalLog.zero()
+    # at a prime of neither gcd, c_p = 0 and some nonzero f_j(x) is prime to p
+    for p in _support_primes([math.gcd(*values), math.gcd(*x.coords)]):
+        total = total + _local_height_Y_values(spec, x, values, Place(p))
+    return total
+
+
 def global_height_Y(spec: SubschemeSpec, x: WPoint) -> FormalLog:
     """Sum of local subscheme heights over all places; infinite on Y."""
     values = [f.eval(x.coords) for f in spec.polys]
     if all(v == 0 for v in values):
         raise DomainError("point lies on the subscheme: infinite height")
-    total = _local_height_Y_values(spec, x, values, INFINITE_PLACE)
-    # at a prime of neither gcd, c_p = 0 and some nonzero f_j(x) is prime to p
-    for p in _support_primes([math.gcd(*values), math.gcd(*x.coords)]):
-        total = total + _local_height_Y_values(spec, x, values, Place(p))
-    return total
+    arch = _local_height_Y_values(spec, x, values, INFINITE_PLACE)
+    return arch + _finite_height_Y(spec, x, values)
 
 
 def log_gcd_Y(
@@ -337,7 +346,4 @@ def log_gcd_residual(spec: SubschemeSpec, x: WPoint) -> FormalLog:
     lhs = _log_gcd_values(values)
     if lhs is None:
         raise DomainError("point lies on the subscheme")
-    total = FormalLog.zero()
-    for p in _support_primes([math.gcd(*values), math.gcd(*x.coords)]):
-        total = total + _local_height_Y_values(spec, x, values, Place(p))
-    return lhs - total
+    return lhs - _finite_height_Y(spec, x, values)

@@ -19,15 +19,6 @@ class WeightVector:
     reduced: bool
     well_formed: bool
 
-    def __len__(self) -> int:
-        return len(self.q)
-
-    def __iter__(self):
-        return iter(self.q)
-
-    def __getitem__(self, i: int) -> int:
-        return self.q[i]
-
     def __str__(self) -> str:
         return ",".join(str(qi) for qi in self.q)
 

@@ -305,6 +305,14 @@ class TestPolyCommands:
             assert (code, out) == (expected, ""), header
             assert "Traceback" not in err
 
+    def test_poly_check_header_name_not_an_identifier(self, capsys, tmp_path):
+        path = tmp_path / "bad.wpoly"
+        for header in ("=1 y=1", "1x=1 y=1", "x-y=1 y=1"):
+            path.write_text(f"weights: {header}\n\ny\n")
+            code, out, err = run(capsys, "poly-check", "--poly", str(path))
+            assert (code, out) == (2, ""), header
+            assert "not an identifier" in err and "Traceback" not in err
+
     def test_poly_eval(self, capsys, poly_file):
         code, out, _ = run(capsys, "poly-eval", "--poly", poly_file, "--point", "3:4")
         assert (code, out.strip()) == (0, "5")
@@ -418,6 +426,18 @@ class TestSearchCommand:
         )
         assert code == 1
         assert out == ""
+
+    def test_require_nonzero_unknown_name(self, capsys, tmp_path):
+        # with --poly a token is a header name or an index; without it, an index
+        poly = tmp_path / "f.wpoly"
+        poly.write_text("weights: a=1 b=1\n\na b\n")
+        for extra in (("--poly", str(poly)), ()):
+            code, out, err = run(
+                capsys, "search", "--weights", "1,1", "--bound", "2",
+                *extra, "--require-nonzero", "0,z",
+            )
+            assert (code, out) == (2, ""), extra
+            assert "unknown coordinate 'z'" in err
 
     def test_poly_weight_mismatch(self, capsys, tmp_path):
         poly = tmp_path / "f.wpoly"

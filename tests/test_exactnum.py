@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
+from wproj import exactnum
 from wproj.exactnum import (
     INFINITE_PLACE,
     INFINITY,
@@ -231,6 +232,14 @@ class TestFormalLog:
         assert FormalLog.of_log(-10).coeffs == {2: 1, 5: 1}
         with pytest.raises(DomainError):
             FormalLog.of_log(0)
+
+    def test_of_log_of_a_unit_factors_nothing(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factor({n}) called")
+
+        monkeypatch.setattr(exactnum, "factor", refuse)
+        for unit in (1, -1, Fraction(-1), Fraction(1)):
+            assert FormalLog.of_log(unit) == FormalLog.zero()
 
     def test_combine_examples(self):
         half_log4 = FormalLog.of_log(4).scale(Fraction(1, 2))

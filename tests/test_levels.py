@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from wproj import INFINITE_PLACE, FormalLog, Place, WPoint, classify, hgcd, local_height, lwh
 from wproj import exactnum
 from wproj.exactnum import INFINITY, _int_valuation, factor, ord_plus
-from wproj.search import _is_canonical
 from wproj.wheight import _support_primes
-from wproj.wpoint import _level, _levels, _sign_flip, _sign_key, _support_gcd, canonicalize, wgcd_tuple
+from wproj.wpoint import _canonical_coords, _level, _levels, _sign_flip, _sign_key, _support_gcd, canonicalize, wgcd_tuple
 
 WEIGHTS = [(1, 1), (2, 3), (1, 2, 3), (2, 4, 6, 10), (4, 6), (2, 2, 3)]
 
@@ -116,7 +115,7 @@ def _hgcd_per_prime(a, b):
 
 
 def _phase1_filter_by_canonicalize(x, w):
-    """The phase-1 filter that _is_canonical replaced."""
+    """The phase-1 filter that the canonicity test replaced."""
     if math.gcd(*x) == 1:
         return _sign_key(x) < _sign_key(_sign_flip(x, w.q))
     return canonicalize(WPoint(w, x)).coords == x
@@ -170,7 +169,7 @@ class TestAgainstReplacedLoops:
     def test_phase1_filter(self, case):
         q, coords = case
         w = classify(q)
-        keep = _is_canonical(coords, q)
+        keep = _canonical_coords(coords, q) == coords
         assert keep == _phase1_filter_by_canonicalize(coords, w)
         assert keep == (canonicalize(WPoint(w, coords)).coords == coords)
 

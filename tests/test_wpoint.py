@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wproj import (
     DomainError,
@@ -19,6 +21,7 @@ from wproj import (
     wgcd,
     wgcd_tuple,
 )
+from wproj.wpoint import _lex_key
 
 
 def _full_veronese(coords, w):
@@ -204,6 +207,27 @@ class TestCanonicalize:
             assert len(canons) == 1, (key, canons)
         canons = [next(iter(c)) for c in by_oracle.values()]
         assert len(set(canons)) == len(canons)
+
+
+class TestLexKey:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(-3, 3) | st.integers(-(10**20), 10**20), min_size=3, max_size=3),
+            max_size=12,
+        )
+    )
+    @example([[1, 0, 0], [-1, 0, 0], [0, 0, 0], [0, -1, 0], [0, 1, 0], [-1, -1, 1]])
+    def test_same_order_as_pair_key(self, rows):
+        # small values make equal magnitudes of opposite sign and zeros common
+        def pair_key(coords):
+            return tuple((abs(c), 0 if c >= 0 else 1) for c in coords)
+
+        tuples = [tuple(r) for r in rows]
+        assert sorted(tuples, key=_lex_key) == sorted(tuples, key=pair_key)
+        for a in tuples:
+            for b in tuples:
+                assert (_lex_key(a) < _lex_key(b)) == (pair_key(a) < pair_key(b))
 
 
 class TestEquals:

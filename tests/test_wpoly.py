@@ -159,6 +159,11 @@ a^4
         with pytest.raises(ParseError, match="'x' named twice"):
             parse_wpoly_file("weights: x=1 x=2\n\nx\n")
 
+    def test_name_not_an_identifier(self):
+        for name in ("", "1x", "x-y"):
+            with pytest.raises(ParseError, match="not an identifier"):
+                parse_wpoly_file(f"weights: {name}=1 y=1\n\ny\n")
+
     def test_weight_below_one(self):
         for header in ("weights: x=0 y=0", "weights: x=1 y=-1"):
             with pytest.raises(DomainError, match="positive") as info:
