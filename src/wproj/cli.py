@@ -195,15 +195,19 @@ def _emit(
     `points`, search's hits, are the report's last entry, "points".  They
     are written one at a time from their ints, so no dict per point and no
     string of the whole report is built; the rest of `result` goes through
-    json.dumps, which keeps its escaping, key order and nulls.
+    json.dumps, which keeps its escaping, key order and nulls.  A plain
+    line may come as an iterator of pieces, each written as it comes.
     """
     fmt = getattr(args, "format", "plain")
     write = out.write
     hits = iter(points or ())
     if fmt == "plain":
-        # line by line: vojta-scan's one line is its whole JSON report
         for line in plain_lines:
-            write(line)
+            if isinstance(line, str):
+                write(line)
+            else:  # vojta-scan's one line, its JSON report, record by record
+                for piece in line:
+                    write(piece)
             write("\n")
         for h in hits:
             write(_plain_point(h))
@@ -468,8 +472,9 @@ def _cmd_vojta_scan(args) -> tuple:
         jobs=args.jobs,
     )
     report = vojtalab.scan(config)
-    # vojta-scan has no --format: its report is one line of JSON
-    return None, [report.to_json()]
+    # vojta-scan has no --format: its report is one line of JSON, written
+    # one record at a time
+    return None, [report.json_chunks()]
 
 
 # ---------------------------------------------------------------------------

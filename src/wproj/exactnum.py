@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import mpmath
 
@@ -340,6 +340,19 @@ def _log_mpf(p: int, prec: int) -> mpmath.mpf:
         return mpmath.log(p)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _log_term(p: int, num: int, den: int, prec: int) -> tuple:
+    """The raw libmp value of (num/den)*log p that decimal() adds: log p at
+    the binary precision, times num, then divided by den, each rounded to
+    nearest.  A scan report renders tens of thousands of such terms and
+    most of them repeat, while few whole values do.  Keyed by ints, since
+    hashing a Fraction costs more than the lookup saves."""
+    lib = mpmath.libmp
+    rnd = lib.round_nearest
+    term = lib.mpf_mul(_log_mpf(p, prec)._mpf_, lib.from_int(num, prec, rnd), prec, rnd)
+    return lib.mpf_div(term, lib.from_int(den), prec, rnd)
+
+
 class FormalLog:
     """Exact value  const + sum_p coeffs[p] * log p  with rational parts.
 
@@ -452,6 +465,40 @@ class FormalLog:
 
     __mul__ = scale
     __rmul__ = scale
+
+    @classmethod
+    def lincomb(cls, pairs: Iterable[tuple[Rational, "FormalLog"]]) -> "FormalLog":
+        """sum of k * F over the (k, F) pairs, in one pass.
+
+        Equal to the chain F_1.scale(k_1) + F_2.scale(k_2) + ..., with the
+        keys of ``coeffs`` in the same order: a key keeps its place while
+        its sum is nonzero, and one that cancels and then reappears goes
+        last, as ``__add__`` leaves it.  ``decimal()`` adds the terms in
+        that order.  Each key's sum is an integer numerator and
+        denominator until the end, so one Fraction is built per key.
+        """
+        acc: dict[int, tuple[int, int]] = {}
+        const_n, const_d = 0, 1
+        for k, f in pairs:
+            if not k:
+                continue
+            kn, kd = k.numerator, k.denominator
+            if f.const:
+                c = f.const
+                const_n = const_n * kd * c.denominator + kn * c.numerator * const_d
+                const_d *= kd * c.denominator
+            for p, c in f.coeffs.items():
+                n, d = kn * c.numerator, kd * c.denominator
+                s = acc.get(p)
+                if s is not None:
+                    n, d = s[0] * d + n * s[1], s[1] * d
+                    if not n:
+                        del acc[p]
+                        continue
+                acc[p] = (n, d)
+        return cls._from_pruned(
+            {p: Fraction(n, d) for p, (n, d) in acc.items()}, Fraction(const_n, const_d)
+        )
 
     # -- comparisons --------------------------------------------------------
 
@@ -624,17 +671,15 @@ class FormalLog:
         The operations of ``mpmath.workdps(digits + 10)`` on raw libmp
         values, each rounded to nearest at its binary precision, then
         ``nstr``'s formatting: the same bytes, without entering an mpmath
-        context per call."""
+        context per call.  The terms are added in the order of ``coeffs``;
+        each rounded c*log p comes from the bounded cache ``_log_term``."""
         lib = mpmath.libmp
         prec, rnd = lib.dps_to_prec(digits + 10), lib.round_nearest
         # mpf(n) rounds n to the working precision; an int divisor does not
         num, den = self.const.numerator, self.const.denominator
         total = lib.mpf_div(lib.from_int(num, prec, rnd), lib.from_int(den), prec, rnd)
         for p, c in self.coeffs.items():
-            term = lib.mpf_mul(
-                _log_mpf(p, prec)._mpf_, lib.from_int(c.numerator, prec, rnd), prec, rnd
-            )
-            term = lib.mpf_div(term, lib.from_int(c.denominator), prec, rnd)
+            term = _log_term(p, c.numerator, c.denominator, prec)
             total = lib.mpf_add(total, term, prec, rnd)
         return lib.to_str(total, digits, strip_zeros=False)
 

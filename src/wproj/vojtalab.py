@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterator
 
 from ._fanout import fan_out
 from .exactnum import INFINITE_PLACE, DomainError, FormalLog, Place
@@ -100,6 +100,10 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """A scan's records and cells.  Its JSON text, a pure function of the
+    config, comes from one serializer, ``json_chunks``, in pieces;
+    ``to_json`` joins them."""
+
     config: ScanConfig
     records: tuple[ScanRecord, ...]
     cells: tuple[CellSummary, ...]
@@ -112,8 +116,11 @@ class ScanReport:
                 return c
         raise DomainError(f"no grid cell ({eps}, {delta})")
 
-    def to_json(self) -> str:
-        """Deterministic serialization: a pure function of the config."""
+    def json_chunks(self) -> Iterator[str]:
+        """The text of json.dumps(report, sort_keys=True, separators=(",",
+        ":")) in pieces: everything up to the "records" list, one piece per
+        record, rendered only when it is asked for, then the rest.  Neither
+        the whole text nor a dict per record is ever held at once."""
         doc = {
             "schema_version": SCHEMA_VERSION,
             "config": {
@@ -130,26 +137,7 @@ class ScanReport:
             },
             "zero_coordinate_count": self.zero_coordinate_count,
             "on_subscheme_count": self.on_subscheme_count,
-            "records": [
-                {
-                    "alpha": list(r.alpha),
-                    "on_subscheme": r.on_subscheme,
-                    "lhs": None if r.lhs is None else r.lhs.as_dict(),
-                    "height_term": None
-                    if r.height_term is None
-                    else r.height_term.as_dict(),
-                    "sunit_term": None
-                    if r.sunit_term is None
-                    else r.sunit_term.as_dict(),
-                    "margins": None
-                    if r.margins is None
-                    else [
-                        {"eps": str(e), "delta": str(d), "margin": m.as_dict()}
-                        for e, d, m in r.margins
-                    ],
-                }
-                for r in self.records
-            ],
+            "records": [],
             "cells": [
                 {
                     "eps": str(c.eps),
@@ -157,9 +145,7 @@ class ScanReport:
                     "considered": c.considered,
                     "violations": c.violations,
                     "violating_alphas": [list(a) for a in c.violating_alphas],
-                    "empirical_C": None
-                    if c.empirical_C is None
-                    else c.empirical_C.as_dict(),
+                    "empirical_C": _flog_dict(c.empirical_C),
                 }
                 for c in self.cells
             ],
@@ -173,7 +159,45 @@ class ScanReport:
                 for c in exceptional_candidates(self)
             ],
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        # the records go where "records" sorts among the keys; a JSON string
+        # cannot hold the unescaped quotes of the marker
+        head, _, tail = _dumps(doc).partition('"records":[]')
+        yield head + '"records":['
+        sep = ""
+        for r in self.records:
+            yield sep + _record_json(r)
+            sep = ","
+        yield "]" + tail
+
+    def to_json(self) -> str:
+        """Deterministic serialization: a pure function of the config."""
+        return "".join(self.json_chunks())
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _flog_dict(v: FormalLog | None) -> dict | None:
+    return None if v is None else v.as_dict()
+
+
+def _record_json(r: ScanRecord) -> str:
+    return _dumps(
+        {
+            "alpha": list(r.alpha),
+            "on_subscheme": r.on_subscheme,
+            "lhs": _flog_dict(r.lhs),
+            "height_term": _flog_dict(r.height_term),
+            "sunit_term": _flog_dict(r.sunit_term),
+            "margins": None
+            if r.margins is None
+            else [
+                {"eps": str(e), "delta": str(d), "margin": m.as_dict()}
+                for e, d, m in r.margins
+            ],
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +224,24 @@ def _sample_tuples(config: ScanConfig) -> list[tuple[int, ...]]:
     return out
 
 
-def _make_record(config: ScanConfig, alpha: tuple[int, ...]) -> ScanRecord:
+def _margin_grid(config: ScanConfig) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    """(eps, delta, 1/(r - 1 + delta)) per grid cell, eps-major: the order of
+    each record's margins and of the report's cells."""
+    r = config.spec.asserted_codim
+    return tuple(
+        (eps, delta, 1 / (r - 1 + delta))
+        for eps in config.epsilon_grid
+        for delta in config.delta_grid
+    )
+
+
+def _make_record(
+    config: ScanConfig,
+    alpha: tuple[int, ...],
+    grid: tuple[tuple[Fraction, Fraction, Fraction], ...] | None = None,
+) -> ScanRecord:
+    """The record of one tuple; `grid` is ``_margin_grid(config)``, made once
+    per scan by ``scan`` and here when it is not given."""
     lhs = _log_gcd_values([f.eval(alpha) for f in config.spec.polys])
     if lhs is None:
         return ScanRecord(alpha, True, None, None, None, None)
@@ -210,56 +251,58 @@ def _make_record(config: ScanConfig, alpha: tuple[int, ...]) -> ScanRecord:
         return ScanRecord(alpha, False, lhs, height_term, None, None)
     # the sampler keeps only tuples of wgcd 1, as split_height_S requires
     sunit = split_height_S(x, config.S).out_S
-    r = config.spec.asserted_codim
-    margins = []
-    for eps in config.epsilon_grid:
-        for delta in config.delta_grid:
-            rhs = height_term.scale(eps) + sunit.scale(
-                Fraction(1, 1) / (r - 1 + delta)
-            )
-            margins.append((eps, delta, rhs - lhs))
-    return ScanRecord(alpha, False, lhs, height_term, sunit, tuple(margins))
+    if grid is None:
+        grid = _margin_grid(config)
+    # margin = rhs - lhs = eps*H + S/(r - 1 + delta) - lhs
+    margins = tuple(
+        (eps, delta, FormalLog.lincomb(((eps, height_term), (k, sunit), (-1, lhs))))
+        for eps, delta, k in grid
+    )
+    return ScanRecord(alpha, False, lhs, height_term, sunit, margins)
 
 
 def scan(config: ScanConfig) -> ScanReport:
     alphas = _sample_tuples(config)
-    records = fan_out(functools.partial(_make_record, config), alphas, config.jobs)
+    grid = _margin_grid(config)
+    records = fan_out(
+        functools.partial(_make_record, config, grid=grid), alphas, config.jobs
+    )
 
     zero_count = sum(
         1 for r in records if not r.on_subscheme and any(a == 0 for a in r.alpha)
     )
     on_sub = sum(1 for r in records if r.on_subscheme)
     cells = []
-    for eps in config.epsilon_grid:
-        for delta in config.delta_grid:
-            considered = 0
-            violating = []
-            # empirical_C = max(0, max of lhs - rhs): only violations, where
-            # lhs - rhs > 0, can raise it above 0.  One sign per record, and
-            # one comparison per violation; ties keep the first maximum.
-            worst: FormalLog | None = None
-            for rec in records:
-                m = rec.margin_at(eps, delta)
-                if m is None:
-                    continue
-                considered += 1
-                if m.sign() < 0:
-                    violating.append(rec.alpha)
-                    neg = -m  # lhs - rhs
-                    if worst is None or neg > worst:
-                        worst = neg
-            if considered and worst is None:
-                worst = FormalLog.zero()
-            cells.append(
-                CellSummary(
-                    eps=eps,
-                    delta=delta,
-                    considered=considered,
-                    violations=len(violating),
-                    violating_alphas=tuple(sorted(violating)),
-                    empirical_C=worst,
-                )
+    # a record's margin for a cell sits at the cell's index in the grid
+    for i, (eps, delta, _) in enumerate(grid):
+        considered = 0
+        violating = []
+        # empirical_C = max(0, max of lhs - rhs): only violations, where
+        # lhs - rhs > 0, can raise it above 0.  One sign per record, and
+        # one comparison per violation; ties keep the first maximum.
+        worst: FormalLog | None = None
+        for rec in records:
+            if rec.margins is None:
+                continue
+            m = rec.margins[i][2]
+            considered += 1
+            if m.sign() < 0:
+                violating.append(rec.alpha)
+                neg = -m  # lhs - rhs
+                if worst is None or neg > worst:
+                    worst = neg
+        if considered and worst is None:
+            worst = FormalLog.zero()
+        cells.append(
+            CellSummary(
+                eps=eps,
+                delta=delta,
+                considered=considered,
+                violations=len(violating),
+                violating_alphas=tuple(sorted(violating)),
+                empirical_C=worst,
             )
+        )
     return ScanReport(
         config=config,
         records=tuple(records),

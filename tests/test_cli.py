@@ -7,11 +7,17 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 import wproj.cli
+from wproj import vojtalab
 from wproj.cli import _jobs, main
+from wproj.exactnum import DomainError
+from wproj.wpoly import SubschemeSpec, parse_wpoly_file
+from wproj.wspace import classify
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -812,6 +818,86 @@ class TestReportOutput:
         assert proc.returncode == 0, err
         # only the config echo: no traceback, no "Exception ignored"
         assert len(err.decode().splitlines()) == 1, err
+
+
+class TestScanStreaming:
+    """vojta-scan writes its report one record at a time: the bytes of
+    ScanReport.to_json, with neither the whole text nor a dict per record
+    held at once."""
+
+    @staticmethod
+    def _config(radius, samples):
+        weights, polys = parse_wpoly_file(Y_111)
+        return vojtalab.ScanConfig(
+            spec=SubschemeSpec(tuple(polys), 2),
+            w=classify(list(weights.values())),
+            S=frozenset({2}),
+            epsilon_grid=(Fraction(1, 4), Fraction(1, 2)),
+            delta_grid=(Fraction(1, 4), Fraction(1, 2)),
+            box_radii=(radius,) * 3,
+            samples=samples,
+            seed=1,
+        )
+
+    @staticmethod
+    def _argv(tmp_path, radius, samples, jobs=1):
+        poly = tmp_path / "Y.wpoly"
+        poly.write_text(Y_111)
+        return [
+            "vojta-scan", "--weights", "1,2,3", "--poly", str(poly), "--codim", "2",
+            "--primes", "2", "--eps", "1/4,1/2", "--delta", "1/4,1/2",
+            "--samples", str(samples), "--box", ",".join([str(radius)] * 3),
+            "--seed", "1", "--jobs", str(jobs), "--out", str(tmp_path / "report.json"),
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_out_bytes_equal_to_json(self, capsys, tmp_path, jobs):
+        report = vojtalab.scan(self._config(2, 60))
+        # the small box gives points on Y and points with a zero coordinate
+        assert any(r.lhs is None for r in report.records)
+        assert any(r.lhs is not None and r.sunit_term is None for r in report.records)
+        code, out, err = run(capsys, *self._argv(tmp_path, 2, 60, jobs))
+        assert (code, out) == (0, ""), err
+        assert (tmp_path / "report.json").read_text() == report.to_json() + "\n"
+
+    def test_failure_while_rendering_removes_a_created_out(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        rendered = []
+
+        def fail(record):
+            rendered.append(record)
+            raise DomainError("cannot render")
+
+        monkeypatch.setattr(vojtalab, "_record_json", fail)
+        code, out, err = run(capsys, *self._argv(tmp_path, 2, 60))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "error: cannot render"
+        assert len(rendered) == 1  # the scan ran; its first record failed
+        assert not (tmp_path / "report.json").exists()
+
+    def test_report_is_never_held_whole(self, capsys, monkeypatch, tmp_path):
+        # rendering once gives the report's length and fills the term cache,
+        # which would otherwise count towards the peak below
+        size = sum(map(len, vojtalab.scan(self._config(1000, 1000)).json_chunks()))
+        assert size > 500_000
+        emit = wproj.cli._emit
+        peaks = []
+
+        def traced(out, args, result, plain_lines, *rest):
+            assert not any(isinstance(line, str) and len(line) > 1000 for line in plain_lines)
+            tracemalloc.start()
+            try:
+                emit(out, args, result, plain_lines, *rest)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(wproj.cli, "_emit", traced)
+        code, _, err = run(capsys, *self._argv(tmp_path, 1000, 1000))
+        assert code == 0, err
+        assert (tmp_path / "report.json").stat().st_size == size + 1
+        assert peaks[0] < size / 8
 
 
 class TestImportPath:

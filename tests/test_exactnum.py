@@ -21,6 +21,7 @@ from wproj.exactnum import (
     FormalLog,
     Place,
     _log_mpf,
+    _log_term,
     _nth_root_floor,
     _primes_upto,
     _strong_lucas,
@@ -317,6 +318,20 @@ class TestFormalLog:
         v = FormalLog(coeffs, const)
         assert v.decimal(digits) == self._reference_decimal(v, digits)
 
+    def test_decimal_same_with_a_cold_or_warm_term_cache(self):
+        assert isinstance(_log_term.cache_info().maxsize, int)
+        values = [
+            FormalLog({2: Fraction(-7, 3), 3: 5, 97: Fraction(1, 10**30)}, Fraction(1, 7)),
+            FormalLog({2: Fraction(-7, 3), 5: Fraction(2, 3)}),
+            FormalLog({2: Fraction(10**40, 3)}, -(10**41)),
+        ]
+        for digits in (5, 15, 30):
+            _log_term.cache_clear()
+            cold = [v.decimal(digits) for v in values]
+            assert _log_term.cache_info().hits == 1  # 2: -7/3 at one precision
+            warm = [v.decimal(digits) for v in values]
+            assert warm == cold == [self._reference_decimal(v, digits) for v in values]
+
     @given(
         st.fractions(
             min_value=Fraction(1, 1000), max_value=1000
@@ -340,6 +355,63 @@ class TestFormalLog:
                 for c in vals[20:]:
                     if a.compare(b) <= 0 and b.compare(c) <= 0:
                         assert a.compare(c) <= 0
+
+
+# small coefficients and multipliers, so that sums often cancel
+_SMALL = st.sampled_from(
+    [Fraction(k) for k in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
+)
+_MULTIPLIERS = st.one_of(
+    st.sampled_from([-1, 0, 1, 2]),
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(1, 3), Fraction(-5, 4)]),
+)
+_TERMS = st.builds(
+    FormalLog,
+    st.dictionaries(st.sampled_from([2, 3, 5, 7]), _SMALL, max_size=4),
+    st.one_of(st.just(0), _SMALL),
+)
+
+
+def _chain(pairs) -> FormalLog:
+    """sum of k * F as scale, + and - compute it, left to right."""
+    total = FormalLog.zero()
+    for k, f in pairs:
+        total = total - f if k == -1 else total + f.scale(k)
+    return total
+
+
+class TestLincomb:
+    @staticmethod
+    def _same(got: FormalLog, want: FormalLog) -> None:
+        assert got == want
+        # decimal() adds the terms in this order
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert type(got.const) is Fraction
+        assert all(type(c) is Fraction and c for c in got.coeffs.values())
+
+    @given(st.lists(st.tuples(_MULTIPLIERS, _TERMS), max_size=5))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_chain(self, pairs):
+        self._same(FormalLog.lincomb(pairs), _chain(pairs))
+
+    def test_a_key_that_cancels_and_reappears_goes_last(self):
+        a = FormalLog({2: 1, 3: 1})
+        b = FormalLog.of_prime(2)
+        pairs = [(1, a), (-1, b), (1, b)]
+        got = FormalLog.lincomb(pairs)
+        self._same(got, _chain(pairs))
+        assert list(got.coeffs) == [3, 2]
+
+    def test_constants_zero_and_negative_multipliers(self):
+        h = FormalLog({3: Fraction(1, 2), 2: 1}, Fraction(5, 3))
+        s = FormalLog({5: 2}, -1)
+        pairs = [(Fraction(1, 4), h), (0, s), (Fraction(-4, 5), s), (-1, h)]
+        got = FormalLog.lincomb(pairs)
+        self._same(got, _chain(pairs))
+        want = {3: Fraction(-3, 8), 2: Fraction(-3, 4), 5: Fraction(-8, 5)}
+        assert got == FormalLog(want, Fraction(-9, 20))
+        assert FormalLog.lincomb([]) == FormalLog.zero()
+        assert FormalLog.lincomb([(0, h)]).is_zero()
 
 
 class TestValuations:
