@@ -370,7 +370,7 @@ class FormalLog:
     the represented value is nonzero, or irrational when a floor is asked.
     """
 
-    __slots__ = ("coeffs", "const", "_hash")
+    __slots__ = ("coeffs", "const")
 
     def __init__(
         self,
@@ -387,7 +387,6 @@ class FormalLog:
                     pruned[p] = c
         self.coeffs = pruned
         self.const = _as_fraction(const)
-        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -402,7 +401,6 @@ class FormalLog:
         self = object.__new__(cls)
         self.coeffs = coeffs
         self.const = const
-        self._hash = None
         return self
 
     @classmethod
@@ -434,48 +432,31 @@ class FormalLog:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "FormalLog") -> "FormalLog":
-        coeffs = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            s = coeffs.get(p)
-            if s is None:
-                coeffs[p] = c
-                continue
-            s += c
-            if s:
-                coeffs[p] = s
-            else:
-                del coeffs[p]
-        return FormalLog._from_pruned(coeffs, self.const + other.const)
+        return FormalLog.lincomb(((1, self), (1, other)))
 
     def __sub__(self, other: "FormalLog") -> "FormalLog":
-        return self + (-other)
+        return FormalLog.lincomb(((1, self), (-1, other)))
 
     def __neg__(self) -> "FormalLog":
-        return FormalLog._from_pruned(
-            {p: -c for p, c in self.coeffs.items()}, -self.const
-        )
+        return FormalLog.lincomb(((-1, self),))
 
     def scale(self, k: Rational) -> "FormalLog":
-        k = _as_fraction(k)
-        if k == 0:
-            return FormalLog()
-        return FormalLog._from_pruned(
-            {p: k * c for p, c in self.coeffs.items()}, k * self.const
-        )
+        return FormalLog.lincomb(((k, self),))
 
     __mul__ = scale
     __rmul__ = scale
 
     @classmethod
     def lincomb(cls, pairs: Iterable[tuple[Rational, "FormalLog"]]) -> "FormalLog":
-        """sum of k * F over the (k, F) pairs, in one pass.
+        """sum of k * F over the (k, F) pairs, in one pass: the one place
+        where coefficients are combined.
 
-        Equal to the chain F_1.scale(k_1) + F_2.scale(k_2) + ..., with the
-        keys of ``coeffs`` in the same order: a key keeps its place while
-        its sum is nonzero, and one that cancels and then reappears goes
-        last, as ``__add__`` leaves it.  ``decimal()`` adds the terms in
-        that order.  Each key's sum is an integer numerator and
-        denominator until the end, so one Fraction is built per key.
+        The keys of ``coeffs`` are in the order in which they enter the
+        running sum along the pairs: a key whose sum cancels to zero leaves
+        it, and a later pair that brings the key back enters it again at
+        the end.  ``decimal()`` adds the terms in that order.  Each key's
+        sum is an integer numerator and denominator until the end, so one
+        Fraction is built per key.
         """
         acc: dict[int, tuple[int, int]] = {}
         const_n, const_d = 0, 1
@@ -511,11 +492,7 @@ class FormalLog:
         return self.coeffs == other.coeffs and self.const == other.const
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((tuple(sorted(self.coeffs.items())), self.const))
-            self._hash = h
-        return h
+        return hash((tuple(sorted(self.coeffs.items())), self.const))
 
     def sign(self) -> int:
         """Certified sign of the represented real value (-1, 0, +1)."""

@@ -368,8 +368,7 @@ def _collect(
 
     Every candidate is canonical, lies on the hypersurface and is built
     once, so only the required-nonzero coordinates and wh are left to
-    check.  A canonical point has wgcd 1, so hits are built without
-    factoring.
+    check.
     """
     w = config.w
     Bm = config.bound**w.m
@@ -381,7 +380,7 @@ def _collect(
         if whm > Bm:
             continue
         vanishing = tuple(i for i, c in enumerate(coords) if c == 0)
-        hits.append(SearchHit(WPoint._from_canonical(w, coords), whm, vanishing))
+        hits.append(SearchHit(WPoint(w, coords), whm, vanishing))
     hits.sort(key=lambda h: (h.wh_m, _lex_key(h.point.coords)))
     return hits
 

@@ -238,10 +238,10 @@ def _margin_grid(config: ScanConfig) -> tuple[tuple[Fraction, Fraction, Fraction
 def _make_record(
     config: ScanConfig,
     alpha: tuple[int, ...],
-    grid: tuple[tuple[Fraction, Fraction, Fraction], ...] | None = None,
+    grid: tuple[tuple[Fraction, Fraction, Fraction], ...],
 ) -> ScanRecord:
     """The record of one tuple; `grid` is ``_margin_grid(config)``, made once
-    per scan by ``scan`` and here when it is not given."""
+    per scan."""
     lhs = _log_gcd_values([f.eval(alpha) for f in config.spec.polys])
     if lhs is None:
         return ScanRecord(alpha, True, None, None, None, None)
@@ -251,8 +251,6 @@ def _make_record(
         return ScanRecord(alpha, False, lhs, height_term, None, None)
     # the sampler keeps only tuples of wgcd 1, as split_height_S requires
     sunit = split_height_S(x, config.S).out_S
-    if grid is None:
-        grid = _margin_grid(config)
     # margin = rhs - lhs = eps*H + S/(r - 1 + delta) - lhs
     margins = tuple(
         (eps, delta, FormalLog.lincomb(((eps, height_term), (k, sunit), (-1, lhs))))

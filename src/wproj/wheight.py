@@ -10,7 +10,6 @@ from typing import Iterable, Sequence
 
 from .exactnum import (
     INFINITE_PLACE,
-    INFINITY,
     DomainError,
     FormalLog,
     Place,
@@ -18,7 +17,7 @@ from .exactnum import (
     factor,
     ord_plus,
 )
-from .wpoint import WPoint, _level, _levels, _wh_m, wgcd_tuple
+from .wpoint import WPoint, _level, _levels, _veronese_powers, _wh_m, wgcd_tuple
 from .wspace import WeightVector
 
 
@@ -27,29 +26,15 @@ def _support_primes(values: Iterable[int]) -> list[int]:
     return sorted({p for v in values if v != 0 for p, _ in factor(v).factors})
 
 
-def _argmax_weighted_abs(coords: Sequence[int], q: Sequence[int], m: int) -> int:
-    """Index maximizing |x_i|^{1/q_i}, decided exactly in the m-th power domain."""
-    best = None
-    best_val = None
-    for i, (c, qi) in enumerate(zip(coords, q)):
-        if c == 0:
-            continue
-        val = abs(c) ** (m // qi)
-        if best_val is None or val > best_val:
-            best, best_val = i, val
-    assert best is not None
-    return best
-
-
 def local_height(x: WPoint, place: Place) -> FormalLog:
     """log max_i |x_i|_v^{1/q_i} at one place, exactly."""
     if place.is_finite:
         # a Place holds a prime, so the key needs no second primality test
         v = _level(x.coords, x.w.q, place.p)
         return FormalLog._from_pruned({place.p: -v} if v else {})
-    q = x.w.q
-    i = _argmax_weighted_abs(x.coords, q, x.w.m)
-    return FormalLog.of_log(abs(x.coords[i])).scale(Fraction(1, q[i]))
+    powers = [abs(v) for v in _veronese_powers(x.coords, x.w)]
+    i = powers.index(max(powers))
+    return FormalLog.of_log(abs(x.coords[i])).scale(Fraction(1, x.w.q[i]))
 
 
 def lwh(x: WPoint) -> FormalLog:
@@ -74,10 +59,8 @@ def hgcd(alpha: Rational, beta: Rational) -> FormalLog:
     if a == 0 and b == 0:
         raise DomainError("hgcd(0, 0) is undefined")
     finite = FormalLog.of_log(math.gcd(a.numerator, b.numerator))
-    va = ord_plus(a, INFINITE_PLACE)
-    vb = ord_plus(b, INFINITE_PLACE)
-    arch = vb if va is INFINITY else (va if vb is INFINITY else min(va, vb))
-    return finite + arch
+    # min(nu+(a), nu+(b)) at oo is nu+ of the larger magnitude
+    return finite + ord_plus(max(abs(a), abs(b)), INFINITE_PLACE)
 
 
 def hwgcd_mult(coords: Sequence[Rational], w: WeightVector) -> int:

@@ -3,8 +3,9 @@ canonical forms under the rational scaling action, and the Veronese map."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,32 +19,19 @@ class WPoint:
 
     w: WeightVector
     coords: tuple[int, ...]
-    _wgcd: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.coords) != len(self.w.q):
             raise DomainError("coordinate/weight length mismatch")
-        if all(x == 0 for x in self.coords):
+        if not any(self.coords):
             raise DomainError("all-zero point")
         if any(not isinstance(x, int) for x in self.coords):
             raise DomainError("WPoint coordinates must be integers")
-        object.__setattr__(self, "_wgcd", wgcd_tuple(self.coords, self.w.q))
 
-    @classmethod
-    def _from_canonical(cls, w: WeightVector, coords: tuple[int, ...]) -> "WPoint":
-        """Wrap coordinates already known to be canonical as they are: no
-        checks and no factoring.  A canonical point has wgcd 1 (at every p
-        its level is below 1, so some v_p(x_i) < q_i).  For ``search``,
-        whose generator proves canonicity."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_wgcd", 1)
-        return self
-
-    @property
+    @functools.cached_property
     def cached_wgcd(self) -> int:
-        return self._wgcd
+        """``wgcd_tuple`` of the coordinates, computed when first read."""
+        return wgcd_tuple(self.coords, self.w.q)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.coords) if x != 0)
@@ -196,10 +184,16 @@ def act(lam: Rational, x: WPoint) -> WPoint:
     return WPoint(x.w, tuple(out))
 
 
+def _veronese_powers(coords: Sequence[int], w: WeightVector) -> list[int]:
+    """The powers x_i^{m/q_i}; their absolute values order the
+    |x_i|^{1/q_i} exactly."""
+    return [c ** (w.m // q) for c, q in zip(coords, w.q)]
+
+
 def _veronese_image(coords: Sequence[int], w: WeightVector) -> list[int]:
     """The classical projective image (x_i^{m/q_i}), gcd-reduced.  Its
     largest absolute value is wh(x)^m, the classical height of the image."""
-    raw = [c ** (w.m // q) for c, q in zip(coords, w.q)]
+    raw = _veronese_powers(coords, w)
     g = math.gcd(*raw)
     return [c // g for c in raw]
 

@@ -285,7 +285,7 @@ def _local_height_Y_values(
         )
     # archimedean: -log(|f_j| / max_i |x_i|^{d_j/q_i})
     log_max = local_height(x, INFINITE_PLACE)
-    return min(log_max.scale(d) - FormalLog.of_log(v) for d, v in terms)
+    return min(FormalLog.lincomb(((d, log_max), (-1, FormalLog.of_log(v)))) for d, v in terms)
 
 
 def local_height_Y(spec: SubschemeSpec, x: WPoint, place: Place) -> FormalLog | None:
@@ -300,11 +300,11 @@ def local_height_Y(spec: SubschemeSpec, x: WPoint, place: Place) -> FormalLog | 
 
 def _finite_height_Y(spec: SubschemeSpec, x: WPoint, values: Sequence[int]) -> FormalLog:
     """Sum of the finite local subscheme heights, from the values f_j(x)."""
-    total = FormalLog.zero()
     # at a prime of neither gcd, c_p = 0 and some nonzero f_j(x) is prime to p
-    for p in _support_primes([math.gcd(*values), math.gcd(*x.coords)]):
-        total = total + _local_height_Y_values(spec, x, values, Place(p))
-    return total
+    primes = _support_primes([math.gcd(*values), math.gcd(*x.coords)])
+    return FormalLog.lincomb(
+        (1, _local_height_Y_values(spec, x, values, Place(p))) for p in primes
+    )
 
 
 def global_height_Y(spec: SubschemeSpec, x: WPoint) -> FormalLog:

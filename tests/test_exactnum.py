@@ -373,11 +373,28 @@ _TERMS = st.builds(
 
 
 def _chain(pairs) -> FormalLog:
-    """sum of k * F as scale, + and - compute it, left to right."""
-    total = FormalLog.zero()
+    """sum of k * F, left to right, over a dict of Fractions: each pair is
+    scaled term by term and added into the running sum, which appends a
+    new key and drops one whose sum cancels.  Independent of FormalLog's
+    arithmetic, which is all ``lincomb``."""
+    coeffs: dict[int, Fraction] = {}
+    const = Fraction(0)
     for k, f in pairs:
-        total = total - f if k == -1 else total + f.scale(k)
-    return total
+        k = Fraction(k)
+        if k == 0:
+            continue
+        const += k * f.const
+        for p, c in f.coeffs.items():
+            s = coeffs.get(p)
+            if s is None:
+                coeffs[p] = k * c
+                continue
+            s += k * c
+            if s:
+                coeffs[p] = s
+            else:
+                del coeffs[p]
+    return FormalLog(coeffs, const)
 
 
 class TestLincomb:

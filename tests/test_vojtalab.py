@@ -71,9 +71,9 @@ class TestRecordValues:
         # sunit = (1/6) log|1*2*2| = (1/3) log 2
         # margin(1/2, 1/2) = (1/4)log2 + (2/3)(1/3)log2 - log2 = -(19/36)log2
         cfg = _config()
-        from wproj.vojtalab import _make_record
+        from wproj.vojtalab import _make_record, _margin_grid
 
-        rec = _make_record(cfg, (1, 2, 2))
+        rec = _make_record(cfg, (1, 2, 2), _margin_grid(cfg))
         assert rec.lhs == FormalLog.of_log(2)
         assert rec.height_term == FormalLog.of_log(2).scale(Fraction(1, 2))
         assert rec.sunit_term == FormalLog.of_log(2).scale(Fraction(1, 3))
@@ -225,7 +225,7 @@ class TestExceptionalCandidates:
         assert exceptional_candidates(report) == []
 
     def test_candidates_reverify_negative(self):
-        from wproj.vojtalab import _make_record
+        from wproj.vojtalab import _make_record, _margin_grid
 
         cfg = _config(
             samples=500,
@@ -236,19 +236,19 @@ class TestExceptionalCandidates:
         report = scan(cfg)
         cands = exceptional_candidates(report)
         for c in cands:
-            fresh = _make_record(cfg, c.alpha)
+            fresh = _make_record(cfg, c.alpha, _margin_grid(cfg))
             assert all(m.sign() < 0 for _, _, m in fresh.margins)
             assert c.coordinate_gcd == math.gcd(*c.alpha)
 
     def test_diagonal_family_flagged(self):
         # tuples with alpha_1 = alpha_2 share that common factor in both
         # subscheme polynomials, inflating lhs; under a tiny eps they violate
-        from wproj.vojtalab import _make_record
+        from wproj.vojtalab import _make_record, _margin_grid
 
         cfg = _config(
             epsilon_grid=(Fraction(1, 1000),), delta_grid=(Fraction(1, 1000),)
         )
-        rec = _make_record(cfg, (1, 840, 840))
+        rec = _make_record(cfg, (1, 840, 840), _margin_grid(cfg))
         assert all(m.sign() < 0 for _, _, m in rec.margins)
         # scan over a box seeded to include diagonal structure
         report = scan(cfg)

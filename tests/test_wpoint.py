@@ -21,6 +21,7 @@ from wproj import (
     wgcd,
     wgcd_tuple,
 )
+from wproj import exactnum, wpoint
 from wproj.wpoint import _lex_key
 
 
@@ -71,6 +72,30 @@ class TestWPoint:
             WPoint(w, (1,))
         assert WPoint(w, (8, 16)).cached_wgcd == 2
         assert WPoint(w, (0, 4)).support() == (1,)
+
+    def test_wgcd_factored_once_when_first_read(self, monkeypatch):
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return exactnum.factor(n)
+
+        bindings = [k for k, v in vars(wpoint).items() if v is exactnum.factor]
+        assert bindings
+        for name in bindings:
+            monkeypatch.setattr(wpoint, name, spy)
+        w = classify([2, 3])
+        x = WPoint(w, (8, 16))
+        assert calls == []  # building a point factors nothing
+        assert wgcd(x) == 2
+        assert len(calls) == 1
+        assert wgcd(x) == 2 and x.cached_wgcd == 2
+        assert len(calls) == 1
+        # the wgcd read or not, equal points compare equal and hash alike
+        y, z = WPoint(w, (8, 16)), WPoint(w, (8, 16))
+        assert x == y == z
+        assert hash(x) == hash(y) == hash(z)
+        assert len(calls) == 1
 
 
 class TestIntegralize:
