@@ -109,15 +109,17 @@ class _Output:
     """Where a command writes its report: stdout, or the --out file.
 
     The file is opened before the command runs, so an unwritable path is a
-    usage error before any search or scan starts.  An existing file keeps
-    its contents until the first write, so a command that fails leaves it
-    as it was; a file the command created is removed if it fails.
+    usage error before any search or scan starts.  An existing regular file
+    is written through a temporary sibling with its permission bits, which
+    replaces it only when the command succeeds, so a command that fails
+    leaves it as it was; a file the command created is removed if it fails.
+    A device or pipe is written to as it is.
     """
 
     def __init__(self, path: str | None) -> None:
         self.path = path
         self.created = False
-        self.stale = False  # an existing regular file, emptied by the first write
+        self.tmp = None  # the sibling that replaces an existing regular file
         if not path:
             self.stream = sys.stdout
             return
@@ -126,27 +128,42 @@ class _Output:
                 self.stream = open(path, "x")
                 self.created = True
             except FileExistsError:
-                # append mode empties nothing; a device or pipe is written
-                # to as it is
+                # append mode empties nothing and checks the file is writable
                 self.stream = open(path, "a")
-                self.stale = os.path.isfile(path)
+                if os.path.isfile(path):
+                    self.stream.close()
+                    self._open_sibling()
         except OSError as exc:
             raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
+    def _open_sibling(self) -> None:
+        import tempfile
+
+        # through a symlink, the file it points to is the one replaced
+        self.target = os.path.realpath(self.path)
+        mode = os.stat(self.target).st_mode & 0o7777
+        folder, name = os.path.split(self.target)
+        fd, self.tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder)
+        os.chmod(self.tmp, mode)
+        self.stream = os.fdopen(fd, "w")
+
     def write(self, text: str) -> None:
-        if self.stale:
-            self.stream.truncate(0)
-            self.stale = False
         self.stream.write(text)
 
     def close(self, ok: bool) -> None:
-        """Flush stdout, or close the file and remove it if the command
-        created it and failed."""
+        """Flush stdout, or close the file; on success put the sibling in
+        the place of the existing file, on failure remove the sibling or the
+        file the command created."""
         if not self.path:
             self.stream.flush()
             return
         self.stream.close()
-        if self.created and not ok:
+        if self.tmp is not None:
+            if ok:
+                os.replace(self.tmp, self.target)
+            else:
+                os.remove(self.tmp)
+        elif self.created and not ok:
             os.remove(self.path)
 
 
@@ -164,7 +181,7 @@ def _json_ints(values) -> str:
 
 def _json_point(h: SearchHit) -> str:
     return (
-        '    {\n      "coords": ' + _json_ints(h.point.coords)
+        '    {\n      "coords": ' + _json_ints(h.coords)
         + ',\n      "vanishing": ' + _json_ints(h.vanishing)
         + f',\n      "wh_m_power": {h.wh_m}\n    }}'
     )
@@ -173,14 +190,14 @@ def _json_point(h: SearchHit) -> str:
 def _csv_point(h: SearchHit) -> str:
     # csv doubles each quote inside a quoted field
     return (
-        '{""coords"":[' + ",".join(map(str, h.point.coords))
+        '{""coords"":[' + ",".join(map(str, h.coords))
         + '],""vanishing"":[' + ",".join(map(str, h.vanishing))
         + f'],""wh_m_power"":{h.wh_m}}}'
     )
 
 
 def _plain_point(h: SearchHit) -> str:
-    return f"{':'.join(map(str, h.point.coords))}  wh^{h.point.w.m}={h.wh_m}\n"
+    return f"{':'.join(map(str, h.coords))}  wh^{h.w.m}={h.wh_m}\n"
 
 
 def _emit(

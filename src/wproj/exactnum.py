@@ -455,15 +455,19 @@ class FormalLog:
         running sum along the pairs: a key whose sum cancels to zero leaves
         it, and a later pair that brings the key back enters it again at
         the end.  ``decimal()`` adds the terms in that order.  Each key's
-        sum is an integer numerator and denominator until the end, so one
-        Fraction is built per key.
+        sum is an integer numerator and denominator until the end, so at
+        most one Fraction is built per key; a key that one pair with
+        k = 1 or k = -1 brings keeps that pair's coefficient c, or -c,
+        which needs no gcd.
         """
-        acc: dict[int, tuple[int, int]] = {}
+        # p -> (numerator, denominator, c while the sum is the one term ±c)
+        acc: dict[int, tuple[int, int, Fraction | None]] = {}
         const_n, const_d = 0, 1
         for k, f in pairs:
             if not k:
                 continue
             kn, kd = k.numerator, k.denominator
+            unit = kd == 1 and (kn == 1 or kn == -1)
             if f.const:
                 c = f.const
                 const_n = const_n * kd * c.denominator + kn * c.numerator * const_d
@@ -471,14 +475,20 @@ class FormalLog:
             for p, c in f.coeffs.items():
                 n, d = kn * c.numerator, kd * c.denominator
                 s = acc.get(p)
-                if s is not None:
-                    n, d = s[0] * d + n * s[1], s[1] * d
-                    if not n:
-                        del acc[p]
-                        continue
-                acc[p] = (n, d)
+                if s is None:
+                    acc[p] = (n, d, c if unit else None)
+                    continue
+                n, d = s[0] * d + n * s[1], s[1] * d
+                if n:
+                    acc[p] = (n, d, None)
+                else:
+                    del acc[p]
         return cls._from_pruned(
-            {p: Fraction(n, d) for p, (n, d) in acc.items()}, Fraction(const_n, const_d)
+            {
+                p: Fraction(n, d) if c is None else c if n == c.numerator else -c
+                for p, (n, d, c) in acc.items()
+            },
+            Fraction(const_n, const_d) if const_n else _ZERO,
         )
 
     # -- comparisons --------------------------------------------------------

@@ -28,6 +28,12 @@ lies outside the phase-1 box.  The sign rule (ii) fixes the sign of one
 coordinate per support, so phase 2 scans only that half of each residual
 box.  ``search`` proves that every canonical point of height at most B is
 then built exactly once; ``_collect`` checks wh exactly.
+
+Hits.  A hit holds only its integers: a slotted ``SearchHit`` of the
+canonical coordinates, the exact wh^m and the search's shared weight
+vector.  Every hit is alive until ``_collect`` has sorted them, so the hit
+list is a search's peak memory; ``_sort_hits`` orders it by one packed int
+per hit instead of a tuple of tuples.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from typing import Iterator, Sequence
 
 from ._fanout import fan_out
 from .exactnum import DomainError, _nth_root_floor, _primes_upto
-from .wpoint import WPoint, _canonical_coords, _lex_key, _wh_m, canonicalize
+from .wpoint import WPoint, _canonical_coords, _wh_m, canonicalize
 from .wpoly import WPoly, _eval_terms
 from .wspace import WeightVector
 
@@ -69,11 +75,25 @@ class SearchConfig:
             raise DomainError("hypersurface weights do not match the search weights")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchHit:
-    point: WPoint
+    """One point of a search: its canonical coordinates and its exact
+    wh^m, with the search's shared weight vector.  No ``__dict__``, and
+    nothing a writer does not read is stored: ``point`` and ``vanishing``
+    are built when asked for."""
+
+    w: WeightVector
+    coords: tuple[int, ...]
     wh_m: int
-    vanishing: tuple[int, ...]
+
+    @property
+    def point(self) -> WPoint:
+        return WPoint(self.w, self.coords)
+
+    @property
+    def vanishing(self) -> tuple[int, ...]:
+        """The indices of the zero coordinates."""
+        return tuple(i for i, c in enumerate(self.coords) if c == 0)
 
 
 @dataclass
@@ -361,6 +381,26 @@ def _phase2_candidates(
     return out, count
 
 
+def _sort_hits(hits: list[SearchHit]) -> None:
+    """Sort hits in place by (wh_m, ``_lex_key``(coords)), on one int each.
+
+    The key packs wh_m and the digits 2|c_i| + (c_i < 0) in base
+    M = 2 max|c| + 2 over the hits.  Every digit is below M and every
+    tuple has the same length, so the ints order exactly as the pairs do,
+    and no tuple per hit is built."""
+    if not hits:
+        return
+    M = 2 * max(max(map(abs, h.coords)) for h in hits) + 2
+
+    def key(h: SearchHit) -> int:
+        k = h.wh_m
+        for c in h.coords:
+            k = k * M + 2 * abs(c) + (c < 0)
+        return k
+
+    hits.sort(key=key)
+
+
 def _collect(
     config: SearchConfig, candidates: Sequence[tuple[int, ...]]
 ) -> list[SearchHit]:
@@ -368,20 +408,22 @@ def _collect(
 
     Every candidate is canonical, lies on the hypersurface and is built
     once, so only the required-nonzero coordinates and wh are left to
-    check.
+    check.  A hit keeps the candidate's tuple, its wh^m and the shared
+    weight vector, and ``_sort_hits`` orders the hits by one int each.
     """
     w = config.w
-    Bm = config.bound**w.m
+    nonvanishing = config.nonvanishing
+    # wh^m is an integer, so comparing it with floor(B^m) is exact
+    top = _floor_pow(config.bound, w.m)
     hits = []
     for coords in candidates:
-        if any(coords[i] == 0 for i in config.nonvanishing):
+        if nonvanishing and any(coords[i] == 0 for i in nonvanishing):
             continue
         whm = _wh_m(coords, w)
-        if whm > Bm:
+        if whm > top:
             continue
-        vanishing = tuple(i for i, c in enumerate(coords) if c == 0)
-        hits.append(SearchHit(WPoint(w, coords), whm, vanishing))
-    hits.sort(key=lambda h: (h.wh_m, _lex_key(h.point.coords)))
+        hits.append(SearchHit(w, coords, whm))
+    _sort_hits(hits)
     return hits
 
 
@@ -441,6 +483,7 @@ def search(config: SearchConfig) -> SearchReport:
                 w, B, config.hypersurface, config.nonvanishing
             )
             candidates.extend(extra)
+            del extra  # so that one list of candidates is alive in _collect
         hits = _collect(config, candidates)
     return SearchReport(
         config=config,

@@ -200,8 +200,10 @@ def _veronese_image(coords: Sequence[int], w: WeightVector) -> list[int]:
 
 def _wh_m(coords: Sequence[int], w: WeightVector) -> int:
     """The exact integer wh(x)^m of a nonzero integer tuple: the classical
-    height of its Veronese image."""
-    return max(map(abs, _veronese_image(coords, w)))
+    height of its Veronese image, max |x_i^{m/q_i}| / gcd, with no reduced
+    list built."""
+    raw = _veronese_powers(coords, w)
+    return max(map(abs, raw)) // math.gcd(*raw)
 
 
 def veronese(x: WPoint) -> tuple[int, ...]:

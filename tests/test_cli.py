@@ -876,6 +876,44 @@ class TestScanStreaming:
         assert len(rendered) == 1  # the scan ran; its first record failed
         assert not (tmp_path / "report.json").exists()
 
+    def test_failure_while_rendering_keeps_an_existing_out(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def fail(record):
+            raise DomainError("cannot render")
+
+        argv = self._argv(tmp_path, 2, 60)
+        existing = tmp_path / "old.json"
+        existing.write_bytes(b"an earlier report\n")
+        argv[-1] = str(existing)
+        monkeypatch.setattr(vojtalab, "_record_json", fail)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "error: cannot render"
+        assert existing.read_bytes() == b"an earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["Y.wpoly", "old.json"]
+
+    def test_success_replaces_an_existing_out_and_keeps_its_mode(
+        self, capsys, tmp_path
+    ):
+        argv = self._argv(tmp_path, 2, 60)
+        assert run(capsys, *argv)[0] == 0
+        want = (tmp_path / "report.json").read_bytes()
+        existing = tmp_path / "old.json"
+        existing.write_text("an earlier report that is longer than nothing\n" * 100)
+        existing.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(existing)
+        for target in (existing, link):
+            argv[-1] = str(target)
+            assert run(capsys, *argv)[0] == 0
+            assert existing.read_bytes() == want
+            assert existing.stat().st_mode & 0o7777 == 0o640
+            assert link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "Y.wpoly", "link.json", "old.json", "report.json"
+        ]
+
     def test_report_is_never_held_whole(self, capsys, monkeypatch, tmp_path):
         # rendering once gives the report's length and fills the term cache,
         # which would otherwise count towards the peak below

@@ -7,13 +7,12 @@ import csv
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wproj import classify
 from wproj.cli import _emit
 from wproj.search import SearchHit
-from wproj.wpoint import WPoint
 
 
 def reference_report(fmt: str, result: dict, header: str, hits) -> str:
@@ -63,11 +62,13 @@ def reports(draw):
     n = len(w.q)
     hits = []
     for _ in range(draw(st.integers(0, 6))):
-        coords = tuple(draw(st.lists(coordinate, min_size=n, max_size=n).filter(any)))
-        vanishing = tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
-        hits.append(
-            SearchHit(WPoint(w, coords), draw(st.integers(0, 2**80)), vanishing)
-        )
+        coords = draw(st.lists(coordinate, min_size=n, max_size=n))
+        # zeros at drawn indices, leaving at least one coordinate nonzero
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+            coords[i] = 0
+        coords = tuple(coords)
+        assume(any(coords))
+        hits.append(SearchHit(w, coords, draw(st.integers(0, 2**80))))
     result = {
         "schema_version": 1,
         "weights": str(w),
@@ -96,8 +97,8 @@ def test_writer_matches_reference_on_named_cases():
     # 2^63, and a hypersurface with quotes and non-ASCII characters
     w = classify([2, 4, 6, 10])
     hits = [
-        SearchHit(WPoint(w, (2**64 + 1, -3, 0, 0)), 7, (2, 3)),
-        SearchHit(WPoint(w, (1, 1, 1, -1)), 1, ()),
+        SearchHit(w, (2**64 + 1, -3, 0, 0), 7),
+        SearchHit(w, (1, 1, 1, -1), 1),
     ]
     result = {
         "bound": "9/8",

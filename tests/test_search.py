@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from wproj.search import (
     _scan_box,
     _scan_chunk,
     _sign_axis,
+    _sort_hits,
     _substituted_terms,
     brute_force_oracle,
     enumerate_bounded,
@@ -245,6 +247,88 @@ class TestReportCounters:
         assert rep.wall_time >= 0
 
 
+class TestHits:
+    def test_no_dict_and_the_same_values(self):
+        w = classify([1, 2, 3])
+        h = SearchHit(w, (0, -5, 0), 25)
+        assert not hasattr(h, "__dict__")
+        assert h.point == WPoint(w, (0, -5, 0))
+        assert (h.coords, h.wh_m, h.vanishing) == ((0, -5, 0), 25, (0, 2))
+        assert SearchHit(w, (1, 1, 1), 1).vanishing == ()
+
+    def test_bytes_per_hit(self):
+        # the tracemalloc peak of the whole search, over its hit count
+        config = SearchConfig(classify([2, 3]), Fraction(9, 4))
+        search(config)  # warm every import and cache
+        tracemalloc.start()
+        try:
+            hits = search(config).hits
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hits) == 20_424
+        assert peak / len(hits) < 320
+
+
+# coordinates with zeros, both signs of one magnitude and values above 2^64
+_hit_coordinate = st.one_of(
+    st.integers(-6, 6),
+    st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**64) - 1, 2**70, -(2**70)]),
+    st.integers(-(2**80), 2**80),
+)
+
+
+@st.composite
+def _hit_lists(draw):
+    w = classify(draw(st.lists(st.integers(1, 6), min_size=2, max_size=4)))
+    coords = st.lists(_hit_coordinate, min_size=len(w.q), max_size=len(w.q))
+    # a few wh^m values, so that many hits share one
+    whm = st.one_of(st.integers(0, 3), st.integers(0, 2**70))
+    pairs = draw(st.lists(st.tuples(coords.filter(any), whm), max_size=30))
+    # and each hit again with its signs flipped
+    pairs += [([-c for c in x], k) for x, k in pairs if draw(st.booleans())]
+    return [SearchHit(w, tuple(x), k) for x, k in pairs]
+
+
+class TestPackedSortKey:
+    @given(_hit_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_same_order_as_the_pair_key(self, hits):
+        want = sorted(hits, key=lambda h: (h.wh_m, _lex_key(h.coords)))
+        _sort_hits(hits)
+        assert hits == want
+
+    def test_named_cases(self):
+        w = classify([1, 1, 1])
+        big = 2**64 + 1
+        hits = [
+            SearchHit(w, c, k)
+            for c, k in [
+                ((big, 0, 1), 5),
+                ((-big, 0, 1), 5),
+                ((0, 0, -1), 5),
+                ((0, 0, 1), 5),
+                ((1, -1, 0), 5),
+                ((1, 1, 0), 2**70),
+                ((-1, 1, 0), 0),
+            ]
+        ]
+        want = sorted(hits, key=lambda h: (h.wh_m, _lex_key(h.coords)))
+        _sort_hits(hits)
+        assert hits == want
+        assert [h.coords for h in hits[1:5]] == [
+            (0, 0, 1), (0, 0, -1), (1, -1, 0), (big, 0, 1)
+        ]
+
+    def test_largest_digit_does_not_carry(self):
+        # -max|c| in every place gives the largest key at its wh^m, which
+        # must stay below the smallest key at the next wh^m
+        w = classify([1, 1])
+        hits = [SearchHit(w, (0, 1), 1), SearchHit(w, (-1, -1), 0)]
+        _sort_hits(hits)
+        assert [h.wh_m for h in hits] == [0, 1]
+
+
 # ---------------------------------------------------------------------------
 # reference: the search as it was before it built canonical points directly.
 # Phase 2 yields every multiple D*y of every profile; every candidate is
@@ -350,8 +434,7 @@ def _reference_collect(config, raw_candidates):
     for coords, (point, whm) in seen.items():
         if any(coords[i] == 0 for i in config.nonvanishing):
             continue
-        vanishing = tuple(i for i, c in enumerate(coords) if c == 0)
-        hits.append(SearchHit(point, whm, vanishing))
+        hits.append(SearchHit(w, point.coords, whm))
     hits.sort(key=lambda h: (h.wh_m, _lex_key(h.point.coords)))
     return hits
 
