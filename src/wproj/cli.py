@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error (mathematically invalid input),
-2 usage error (unknown flags, malformed points/polynomials/numbers).
+Exit codes: 0 success, 1 domain error (mathematically invalid input) or
+out of memory, 2 usage error (unknown flags, malformed
+points/polynomials/numbers).
 Exact symbolic values are always printed before any decimal rendering.
 """
 
@@ -657,6 +658,10 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # out.close(False) above has left an existing --out file as it was
+        print("error: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader of stdout has gone, as in `wproj search ... | head -1`.

@@ -23,11 +23,13 @@ reduced weights, the deflation profiles: sets of primes with levels
 range, so a positive budget gap always exists and the admissible primes
 form a finite list), composing several primes recursively over increasing
 p with a multiplicative budget.  It keeps the multiple D*y of a residual
-tuple y only when the profile is exactly the point's own and the point
-lies outside the phase-1 box.  The sign rule (ii) fixes the sign of one
-coordinate per support, so phase 2 scans only that half of each residual
-box.  ``search`` proves that every canonical point of height at most B is
-then built exactly once; ``_collect`` checks wh exactly.
+tuple y only when the point lies outside the phase-1 box, tested first
+and against limits made once per profile (D*y is in the box iff every
+|y_i| <= floor(box_i / D_i)), and the profile is exactly the point's own.
+The sign rule (ii) fixes the sign of one coordinate per support, so
+phase 2 scans only that half of each residual box.  ``search`` proves that
+every canonical point of height at most B is then built exactly once;
+``_collect`` checks wh exactly.
 
 Hits.  A hit holds only its integers: a slotted ``SearchHit`` of the
 canonical coordinates, the exact wh^m and the search's shared weight
@@ -42,6 +44,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv, le, lt, mul
 from typing import Iterator, Sequence
 
 from ._fanout import fan_out
@@ -210,18 +213,20 @@ def _deflation_profiles(
 ) -> Iterator[tuple]:
     """All nonempty multi-prime deflation profiles of the reduced weights
     qs: (divisors, floored residual budgets, and per prime p of the profile
-    the pair (p, tight)).
+    the pair (p, tight)), in preorder over increasing primes.
 
     Budgets are carried as their floors: floor(floor(b)/p^k) = floor(b/p^k),
-    and the prime bounds and the residual radii read only floors.
+    and the admissibility test and the residual radii read only floors.
 
     The levels are the c = a/q_i in (0, 1).  For a level c only the minimal
     exponents e_i = ceil(q_i c) are needed: a point of level c at p is a
     multiple of the minimal divisor.  ``tight`` lists the indices i with q_i c an integer, the only
     ones where e_i = q_i c, so the level of D*y at p is exactly c when p
-    divides none of y's tight coordinates.  Per node the largest admissible
-    prime for each c is obtained directly by root extraction from the
-    budgets, so only feasible (p, c) pairs are ever visited.
+    divides none of y's tight coordinates.  A pair (p, c) is admissible
+    when p^cost_i <= budget_i for every i, so that every budget_i // p^cost_i
+    stays at least 1; that fails for every larger prime once it fails for
+    one, so a node drops the level there.  Each profile carries its
+    divisors and pairs down the tree and is built once.
     """
     levels = []
     for c in sorted({Fraction(a, q) for q in qs for a in range(1, q)}):
@@ -233,45 +238,45 @@ def _deflation_profiles(
             cost.append(m * ei - mc.numerator)
         tight = tuple(i for i, q in enumerate(qs) if (q * c).denominator == 1)
         levels.append((e, tuple(cost), tight))
-
-    def p_max(cost: tuple[int, ...], budgets: Sequence[int]) -> int:
-        # largest p with p^cost_i <= budgets_i for every i; some cost_i > 0
-        best = None
-        for k, bud in zip(cost, budgets):
-            if k == 0:
-                continue
-            if bud < 1:
-                return 0
-            r = _nth_root_floor(bud, k)
-            best = r if best is None else min(best, r)
-        assert best is not None  # reduced weights exclude all-integral q*c
-        return best
-
     if not levels:
         # all weights equal after reduction: no fractional deflation exists
         return
-    global_max = max(p_max(cost, budgets_m) for _, cost, _ in levels)
-    primes = _primes_upto(global_max)
+    # the sieve reaches the largest prime admissible at the root: the
+    # largest p with p^cost_i <= budget_i wherever cost_i > 0 (reduced
+    # weights exclude an all-zero cost)
+    primes = _primes_upto(
+        max(
+            min(_nth_root_floor(b, k) for b, k in zip(budgets_m, cost) if k)
+            for _, cost, _ in levels
+        )
+    )
 
-    def rec(budgets: tuple[int, ...], start: int) -> Iterator[tuple]:
-        bounds = [p_max(cost, budgets) for _, cost, _ in levels]
-        cap = max(bounds)
+    def rec(
+        budgets: tuple[int, ...], divisors: tuple[int, ...], profile: tuple, start: int
+    ) -> Iterator[tuple]:
+        alive = levels
         for idx in range(start, len(primes)):
             p = primes[idx]
-            if p > cap:
-                break
-            for (e, cost, tight), bnd in zip(levels, bounds):
-                if p > bnd:
-                    continue
-                new_budgets = tuple(bud // p**k for bud, k in zip(budgets, cost))
-                divisors = tuple(p**ei for ei in e)
-                yield divisors, new_budgets, ((p, tight),)
-                for sub_div, sub_bud, sub_tight in rec(new_budgets, idx + 1):
-                    yield tuple(
-                        d * s for d, s in zip(divisors, sub_div)
-                    ), sub_bud, ((p, tight),) + sub_tight
+            kept = []
+            for level in alive:
+                e, cost, tight = level
+                if any(map(lt, budgets, map(pow, itertools.repeat(p), cost))):
+                    continue  # and for every larger prime
+                sub_budgets = tuple(
+                    map(floordiv, budgets, map(pow, itertools.repeat(p), cost))
+                )
+                kept.append(level)
+                sub_divisors = tuple(
+                    map(mul, divisors, map(pow, itertools.repeat(p), e))
+                )
+                sub_profile = profile + ((p, tight),)
+                yield sub_divisors, sub_budgets, sub_profile
+                yield from rec(sub_budgets, sub_divisors, sub_profile, idx + 1)
+            if not kept:
+                return
+            alive = kept
 
-    yield from rec(tuple(budgets_m), 0)
+    yield from rec(tuple(budgets_m), (1,) * len(qs), (), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +322,16 @@ def _sign_axis(qs: Sequence[int]) -> int:
 def _exact_profile(y: tuple[int, ...], profile) -> bool:
     """Conditions (a) and (b) of ``search``: D*y has level exactly c at
     each profile prime and level 0 at every other prime."""
-    g = math.gcd(*y)
     for p, tight in profile:
-        if all(y[i] % p == 0 for i in tight):
+        for i in tight:
+            if y[i] % p:
+                break
+        else:
             return False
+    g = math.gcd(*y)
+    for p, _ in profile:
+        if g == 1:
+            return True
         while g % p == 0:
             g //= p
     return g == 1
@@ -333,13 +344,17 @@ def _phase2_candidates(
     nonvanishing: frozenset[int] = frozenset(),
 ) -> tuple[list[tuple[int, ...]], int]:
     """The canonical points outside the phase-1 box that phase 2 builds,
-    in actual coordinates, and the volume of the residual boxes (twice the
-    number of tuples scanned: one sign pattern each).
+    in actual coordinates, and the volume of the residual boxes.
 
     Each support is handled in its reduced weight system q_i/d with bound
     B^d (the rescaling law lwh_{d*q} = (1/d) lwh_q makes this exact): the
     smaller weight lcm keeps the exponent lattice of the deflation
-    profiles small.
+    profiles small.  No residual box lies inside the phase-1 box, so every
+    profile is scanned: with w_i the weight of coordinate i and
+    X_i = B^{w_i} / D_i, the radius is floor(M_i X_i) for the product M_i of
+    p^{q_i c} over the profile's pairs (p, c).  At an index tight for some
+    pair, M_i >= p >= 2, so the radius, at least 1, exceeds floor(X_i),
+    the limit of (c) there.
     """
     n = len(w.q)
     box = [_floor_pow(B, q) for q in w.q]
@@ -356,26 +371,26 @@ def _phase2_candidates(
         m = math.lcm(*qs)
         budgets_m = [_floor_pow(B**d, m * q) for q in qs]
         j = _sign_axis(qs)
+        support_box = [box[i] for i in support]
         for divisors, residual, profile in _deflation_profiles(qs, budgets_m, m):
             radii = [_nth_root_floor(b, m) for b in residual]
-            if any(r == 0 for r in radii):
-                continue
-            ranges = [
-                [y for y in range(-r, r + 1) if y != 0] for r in radii
-            ]
-            ranges[j] = list(range(1, radii[j] + 1))
-            terms = _substituted_terms(poly, support, divisors)
-            sols, c = _scan_chunk((terms, ranges))
-            # count both sign patterns: the residual box is twice the half
-            count += 2 * c
-            for y in sols:
+            count += math.prod(2 * r for r in radii)
+            # (c): D*y lies in the phase-1 box iff every |y_i| <= limits_i
+            limits = list(map(floordiv, support_box, divisors))
+            ranges = [[*range(-r, 0), *range(1, r + 1)] for r in radii]
+            ranges[j] = range(1, radii[j] + 1)
+            if poly is None:
+                tuples = itertools.product(*ranges)
+            else:
+                terms = _substituted_terms(poly, support, divisors)
+                tuples, _ = _scan_chunk((terms, ranges))
+            for y in tuples:
+                if all(map(le, map(abs, y), limits)):
+                    continue  # phase 1 holds it
                 if not _exact_profile(y, profile):
                     continue
-                x = [dv * yv for dv, yv in zip(divisors, y)]
-                if all(abs(v) <= box[i] for v, i in zip(x, support)):
-                    continue  # phase 1 holds it
                 full = [0] * n
-                for i, v in zip(support, x):
+                for i, v in zip(support, map(mul, divisors, y)):
                     full[i] = v
                 out.append(tuple(full))
     return out, count
@@ -448,7 +463,8 @@ def search(config: SearchConfig) -> SearchReport:
       (b) at each (p, c) of P some tight index i (q_i c an integer) has
           p not dividing y_i: the index attaining c_p(x) has
           v_p(x_i) = q_i c_p = e_i;
-      (c) some |x_i| > floor(B^{q_i}).
+      (c) some |x_i| > floor(B^{q_i}), that is, some
+          |y_i| > floor(floor(B^{q_i}) / D_i), as D_i > 0.
     Conversely, for any profile P and y meeting (a) and (b), x = D*y has
     level at least c at each (p, c) of P, since e_i >= q_i c, exactly c by
     (b), and 0 elsewhere by (a).  So P = P(x) and y = x/D: no other profile

@@ -83,6 +83,29 @@ class TestExitCodes:
             assert code == 1, argv
             assert err.splitlines()[-1].startswith("error:")
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_out_of_memory_is_an_error_not_a_traceback(
+        self, capsys, monkeypatch, tmp_path, existing
+    ):
+        # search --weights 2,3 --bound 1e3 asks _phase1_ranges for a list of
+        # 2*10^9 + 1 ints; the patched ranges raise without allocating
+        def too_large(w, B):
+            raise MemoryError
+
+        monkeypatch.setattr(sys.modules["wproj.search"], "_phase1_ranges", too_large)
+        argv = ["search", "--weights", "2,3", "--bound", "1e3", "--format", "plain"]
+        report = tmp_path / "old.txt"
+        if existing:
+            report.write_bytes(b"an earlier report\n")
+            argv += ["--out", str(report)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "error: out of memory"
+        assert "Traceback" not in err
+        if existing:
+            assert report.read_bytes() == b"an earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["old.txt"] if existing else [])
+
 
 class TestJobs:
     SEARCH = ["search", "--weights", "2,3", "--bound", "1"]

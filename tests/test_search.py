@@ -628,6 +628,103 @@ class TestHalfBox:
         assert seen == [(len(report.hits), len(report.hits))]
 
 
+def _p1_hit_count(N):
+    """Sum over d <= N of mu(d) ((2 floor(N/d) + 1)^2 - 1)/2: the points of
+    P^1(Q) of classical height at most N."""
+    return sum(
+        sympy.mobius(d) * (((2 * (N // d) + 1) ** 2 - 1) // 2) for d in range(1, N + 1)
+    )
+
+
+class TestP1Count:
+    """With coprime weights, (x0 : x1) -> (x0^(m/q0) : x1^(m/q1)) maps
+    P(q0, q1)(Q) bijectively onto P^1(Q) and wh^m to the classical height,
+    so the hit count is _p1_hit_count(floor(B^m)), a count independent of
+    the scan; most of these points come from phase 2."""
+
+    @pytest.mark.parametrize(
+        "q,B,expected",
+        [
+            ((1, 2), Fraction(3), 112),
+            ((2, 3), Fraction(2), 5040),
+            ((2, 3), Fraction(9, 4), 20424),
+            ((3, 4), Fraction(3, 2), 20424),
+            ((2, 5), Fraction(3, 2), 4000),
+            ((3, 5), Fraction(5, 4), 968),
+        ],
+    )
+    def test_hit_count(self, q, B, expected):
+        w = classify(q)
+        assert _p1_hit_count(_floor_pow(B, w.m)) == expected
+        assert len(search(SearchConfig(w, B)).hits) == expected
+
+
+class TestResidualScan:
+    @pytest.mark.parametrize(
+        "q,B,poly",
+        [
+            ((2, 3), Fraction(9, 4), None),
+            ((2, 3), Fraction(9, 4), "x0^3 - x1^2"),
+            ((4, 6), Fraction(3, 2), "x0^3 + x1^2"),
+        ],
+    )
+    def test_exact_profile_sees_only_tuples_outside_the_box(
+        self, monkeypatch, q, B, poly
+    ):
+        # (c) comes first: D*y in the phase-1 box is dropped before (a), (b)
+        w = classify(q)
+        if poly is not None:
+            poly = parse_poly(poly, {"x0": q[0], "x1": q[1]})
+        box = [_floor_pow(B, qi) for qi in q]
+        walk = search_module._deflation_profiles
+        exact = search_module._exact_profile
+        divisors = []  # of the profile being scanned
+        seen = []
+
+        def profiles(*args):
+            for item in walk(*args):
+                divisors[:] = item[0]
+                yield item
+
+        def recorded(y, profile):
+            seen.append(tuple(d * v for d, v in zip(divisors, y)))
+            return exact(y, profile)
+
+        monkeypatch.setattr(search_module, "_deflation_profiles", profiles)
+        monkeypatch.setattr(search_module, "_exact_profile", recorded)
+        search(SearchConfig(w, B, hypersurface=poly))
+        assert seen
+        assert all(any(abs(v) > r for v, r in zip(x, box)) for x in seen)
+
+    @pytest.mark.parametrize(
+        "q,B",
+        [
+            ((2, 3), Fraction(9, 4)),
+            ((2, 2, 3), Fraction(2)),
+            ((2, 4, 6), Fraction(3, 2)),
+            ((1, 2, 3, 5), Fraction(5, 4)),
+            ((2, 4, 6, 10), Fraction(9, 8)),
+        ],
+    )
+    def test_no_residual_box_lies_in_the_box(self, q, B):
+        """Why phase 2 never skips a profile: at an index i tight for a
+        profile prime p the radius is floor(M B^q_i / D_i) with M >= p, so
+        it exceeds floor(B^q_i / D_i), the largest |y_i| inside the box."""
+        box = [_floor_pow(B, qi) for qi in q]
+        for support in itertools.chain.from_iterable(
+            itertools.combinations(range(len(q)), k) for k in range(2, len(q) + 1)
+        ):
+            d = math.gcd(*(q[i] for i in support))
+            qs = [q[i] // d for i in support]
+            m = math.lcm(*qs)
+            budgets = [_floor_pow(B**d, m * qi) for qi in qs]
+            for divisors, residual, profile in _deflation_profiles(qs, budgets, m):
+                radii = [_nth_root_floor(b, m) for b in residual]
+                for _, tight in profile:
+                    for i in tight:
+                        assert radii[i] > box[support[i]] // divisors[i]
+
+
 # ---------------------------------------------------------------------------
 # the modular sieve of boxes above _FAST_PATH_VOLUME
 # ---------------------------------------------------------------------------
