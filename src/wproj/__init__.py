@@ -59,6 +59,7 @@ from .wpoly import (
     parse_wpoly_file,
 )
 from .search import (
+    PackedHits,
     SearchConfig,
     SearchHit,
     SearchReport,

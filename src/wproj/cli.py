@@ -32,7 +32,7 @@ from .wpoint import (
 from .wheight import hgcd, hwgcd_mult, lwh, split_height_S, wh_m_power
 from .wpoly import SubschemeSpec, global_height_Y, parse_wpoly_file
 from . import vojtalab
-from .search import SearchConfig, SearchHit
+from .search import PackedHits, SearchConfig, _vanishing
 from .search import search as run_search
 
 
@@ -168,10 +168,11 @@ class _Output:
             os.remove(self.path)
 
 
-# One point of search's report in each format, written from its ints: the
-# point dict {"coords", "vanishing", "wh_m_power"} as json.dumps(sort_keys=True,
-# indent=2) lays it out at depth 2 of the report, the same dict as compact
-# JSON inside a quoted csv field, and the plain listing line.
+# One point of search's report in each format, written from the ints its
+# key decodes to: the point dict {"coords", "vanishing", "wh_m_power"} as
+# json.dumps(sort_keys=True, indent=2) lays it out at depth 2 of the report,
+# the same dict as compact JSON inside a quoted csv field, and the plain
+# listing line.
 
 
 def _json_ints(values) -> str:
@@ -180,25 +181,21 @@ def _json_ints(values) -> str:
     return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
 
 
-def _json_point(h: SearchHit) -> str:
+def _json_point(wh_m: int, coords) -> str:
     return (
-        '    {\n      "coords": ' + _json_ints(h.coords)
-        + ',\n      "vanishing": ' + _json_ints(h.vanishing)
-        + f',\n      "wh_m_power": {h.wh_m}\n    }}'
+        '    {\n      "coords": ' + _json_ints(coords)
+        + ',\n      "vanishing": ' + _json_ints(_vanishing(coords))
+        + f',\n      "wh_m_power": {wh_m}\n    }}'
     )
 
 
-def _csv_point(h: SearchHit) -> str:
+def _csv_point(wh_m: int, coords) -> str:
     # csv doubles each quote inside a quoted field
     return (
-        '{""coords"":[' + ",".join(map(str, h.coords))
-        + '],""vanishing"":[' + ",".join(map(str, h.vanishing))
-        + f'],""wh_m_power"":{h.wh_m}}}'
+        '{""coords"":[' + ",".join(map(str, coords))
+        + '],""vanishing"":[' + ",".join(map(str, _vanishing(coords)))
+        + f'],""wh_m_power"":{wh_m}}}'
     )
-
-
-def _plain_point(h: SearchHit) -> str:
-    return f"{':'.join(map(str, h.coords))}  wh^{h.w.m}={h.wh_m}\n"
 
 
 def _emit(
@@ -206,19 +203,20 @@ def _emit(
     args,
     result: dict | None,
     plain_lines: list[str],
-    points: list[SearchHit] | None = None,
+    points: PackedHits | None = None,
 ) -> None:
     """Write a command's report to `out` in the --format of `args`.
 
     `points`, search's hits, are the report's last entry, "points".  They
-    are written one at a time from their ints, so no dict per point and no
-    string of the whole report is built; the rest of `result` goes through
-    json.dumps, which keeps its escaping, key order and nulls.  A plain
+    are written one at a time from the ints each key decodes to, so no
+    hit, no dict per point and no string of the whole report is built; the
+    rest of `result` goes through json.dumps, which keeps its escaping,
+    key order and nulls.  A plain
     line may come as an iterator of pieces, each written as it comes.
     """
     fmt = getattr(args, "format", "plain")
     write = out.write
-    hits = iter(points or ())
+    hits = points.decoded() if points else iter(())
     if fmt == "plain":
         for line in plain_lines:
             if isinstance(line, str):
@@ -227,8 +225,10 @@ def _emit(
                 for piece in line:
                     write(piece)
             write("\n")
-        for h in hits:
-            write(_plain_point(h))
+        if points:
+            suffix = f"  wh^{points.w.m}="
+            for wh_m, coords in hits:
+                write(f"{':'.join(map(str, coords))}{suffix}{wh_m}\n")
     elif fmt == "json":
         if points is not None:
             result = {**result, "points": []}
@@ -236,9 +236,9 @@ def _emit(
         if points:
             # the points go where "points" sorts among the keys
             head, _, tail = text.partition('\n  "points": []')
-            write(head + '\n  "points": [\n' + _json_point(next(hits)))
-            for h in hits:
-                write(",\n" + _json_point(h))
+            write(head + '\n  "points": [\n' + _json_point(*next(hits)))
+            for wh_m, coords in hits:
+                write(",\n" + _json_point(wh_m, coords))
             text = "\n  ]" + tail
         write(text + "\n")
     else:  # csv: one key,value row per field, containers as compact JSON
@@ -249,9 +249,9 @@ def _emit(
                 v = json.dumps(v, sort_keys=True, separators=(",", ":"), default=str)
             writer.writerow([k, v])
         if points:
-            write('points,"[' + _csv_point(next(hits)))
-            for h in hits:
-                write("," + _csv_point(h))
+            write('points,"[' + _csv_point(*next(hits)))
+            for wh_m, coords in hits:
+                write("," + _csv_point(wh_m, coords))
             write(']"\n')
         elif points is not None:
             writer.writerow(["points", "[]"])

@@ -31,21 +31,25 @@ phase 2 scans only that half of each residual box.  ``search`` proves that
 every canonical point of height at most B is then built exactly once;
 ``_collect`` checks wh exactly.
 
-Hits.  A hit holds only its integers: a slotted ``SearchHit`` of the
-canonical coordinates, the exact wh^m and the search's shared weight
-vector.  Every hit is alive until ``_collect`` has sorted them, so the hit
-list is a search's peak memory; ``_sort_hits`` orders it by one packed int
-per hit instead of a tuple of tuples.
+Hits.  A point is one int from the moment it is built until it is
+written: the key wh^m followed by the digits 2|c_i| + (c_i < 0) of its
+coordinates, each ``PackedHits.width`` bits wide.  Phase 1 packs its
+canonical box tuples and phase 2 its multiples D*y as they arrive, so no
+list of tuples or ``SearchHit`` is built; ``_collect`` sorts the ints as
+they are, which is the order of (wh^m, ``_lex_key``), and the writers
+decode each key to text.  Every point is alive until it is written, so the
+keys are a search's peak memory.  A ``SearchHit`` is built only when a
+caller reads one from ``SearchReport.hits``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import floordiv, le, lt, mul
-from typing import Iterator, Sequence
 
 from ._fanout import fan_out
 from .exactnum import DomainError, _nth_root_floor, _primes_upto
@@ -57,6 +61,8 @@ _FAST_PATH_VOLUME = 5_000
 # the largest prime below 2^26, and the entries in one block of the sieve
 _SIEVE_PRIME = 67_108_859
 _SIEVE_BLOCK = 1 << 14
+# keys decoded together by _decode
+_DECODE_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,10 @@ class SearchConfig:
 
 @dataclass(frozen=True, slots=True)
 class SearchHit:
-    """One point of a search: its canonical coordinates and its exact
-    wh^m, with the search's shared weight vector.  No ``__dict__``, and
-    nothing a writer does not read is stored: ``point`` and ``vanishing``
-    are built when asked for."""
+    """One point of a search, as ``SearchReport.hits`` hands it out: its
+    canonical coordinates and its exact wh^m, with the search's shared
+    weight vector.  No ``__dict__``; ``point`` and ``vanishing`` are built
+    when asked for."""
 
     w: WeightVector
     coords: tuple[int, ...]
@@ -95,14 +101,112 @@ class SearchHit:
 
     @property
     def vanishing(self) -> tuple[int, ...]:
-        """The indices of the zero coordinates."""
-        return tuple(i for i, c in enumerate(self.coords) if c == 0)
+        return _vanishing(self.coords)
+
+
+def _vanishing(coords: Sequence[int]) -> tuple[int, ...]:
+    """The indices of the zero coordinates."""
+    if 0 not in coords:  # most points, and a quicker test than the scan
+        return ()
+    return tuple(i for i, c in enumerate(coords) if c == 0)
+
+
+def _pack(coords: Iterable[int], wh_m: int, width: int) -> int:
+    """The key of a point: wh_m, then 2|c| + (c < 0) per coordinate, each
+    in ``width`` bits."""
+    k = wh_m
+    for c in coords:
+        k = k << width | (c << 1 if c >= 0 else -c << 1 | 1)
+    return k
+
+
+def _decode(
+    keys: Sequence[int], width: int, n: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(wh_m, coords) of each key of n digits, ``width`` bits each.  The
+    keys are decoded a block at a time and one coordinate position at a
+    time, so each step is one list comprehension over the block."""
+    mask = (1 << width) - 1
+    shifts = range(width * (n - 1), -1, -width)
+    top = width * n
+    for lo in range(0, len(keys), _DECODE_BLOCK):
+        block = keys[lo : lo + _DECODE_BLOCK]
+        columns = [
+            [-(d >> 1) if d & 1 else d >> 1 for d in [k >> s & mask for k in block]]
+            for s in shifts
+        ]
+        yield from zip([k >> top for k in block], zip(*columns))
+
+
+class PackedHits(Sequence):
+    """The points of one search, one int each.
+
+    A key is wh^m followed by the digits 2|c_i| + (c_i < 0), ``width`` bits
+    each.  Every digit is below 2^width and every key has the same number of
+    digits, so the ints order exactly as the pairs (wh^m, ``_lex_key``(coords))
+    do.  ``fit`` widens the digits before a larger coordinate is added,
+    repacking every key once and at least doubling the width, so a search
+    repacks O(log) times.  Reading an item builds its ``SearchHit``;
+    ``decoded`` gives (wh_m, coords) without one."""
+
+    __slots__ = ("w", "width", "keys")
+
+    def __init__(self, w: WeightVector, limit: int = 0) -> None:
+        self.w = w
+        # the width of the digit of -limit, the largest one of |c| <= limit
+        self.width = (2 * limit + 1).bit_length()
+        self.keys: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> SearchHit:
+        return self._hit(self.keys[i])
+
+    def __iter__(self) -> Iterator[SearchHit]:
+        w = self.w
+        for wh_m, coords in self.decoded():
+            yield SearchHit(w, coords, wh_m)
+
+    def _hit(self, key: int) -> SearchHit:
+        ((wh_m, coords),) = _decode((key,), self.width, len(self.w.q))
+        return SearchHit(self.w, coords, wh_m)
+
+    def decoded(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(wh_m, coords) of each point, in the order of ``keys``."""
+        return _decode(self.keys, self.width, len(self.w.q))
+
+    def add(self, coords: Sequence[int], wh_m: int) -> None:
+        """Pack a point; ``fit`` must have made room for its coordinates."""
+        self.keys.append(_pack(coords, wh_m, self.width))
+
+    def fit(self, limit: int) -> None:
+        """Make room for coordinates with |c| <= limit."""
+        need = (2 * limit + 1).bit_length()
+        if need > self.width:
+            self._repack(max(need, 2 * self.width))
+
+    def extend(self, other: PackedHits) -> None:
+        """Add the keys of ``other``, after bringing both to one width."""
+        self._repack(max(self.width, other.width))
+        other._repack(self.width)
+        self.keys.extend(other.keys)
+
+    def _repack(self, width: int) -> None:
+        if width == self.width:
+            return
+        keys = self.keys
+        points = _decode(keys, self.width, len(self.w.q))
+        self.width = width
+        # each key is read before its slot is written
+        for j, (wh_m, coords) in enumerate(points):
+            keys[j] = _pack(coords, wh_m, width)
 
 
 @dataclass
 class SearchReport:
     config: SearchConfig
-    hits: list[SearchHit]
+    hits: PackedHits
     phase1_candidates: int
     phase2_candidates: int
     wall_time: float
@@ -292,21 +396,23 @@ def _phase1_ranges(w: WeightVector, B: Fraction) -> list[list[int]]:
     return out
 
 
-def _substituted_terms(poly: WPoly | None, support, divisors):
-    """Restrict f to a support (others = 0) and absorb coordinate divisors."""
-    if poly is None:
-        return None
-    terms = []
-    for coeff, exps in poly.terms:
-        if any(exps[i] > 0 for i in range(len(exps)) if i not in support):
-            continue
-        c = coeff
-        sub = []
-        for pos, i in enumerate(support):
-            c *= divisors[pos] ** exps[i]
-            sub.append(exps[i])
-        terms.append((c, tuple(sub)))
-    return terms
+def _support_terms(poly: WPoly, support) -> list[tuple[int, tuple[int, ...]]]:
+    """The terms of f restricted to a support (the other coordinates 0):
+    those with no exponent off the support, with their exponents on it."""
+    return [
+        (coeff, tuple(exps[i] for i in support))
+        for coeff, exps in poly.terms
+        if not any(e for i, e in enumerate(exps) if i not in support)
+    ]
+
+
+def _substituted_terms(terms, divisors):
+    """Terms of f on a support with the coordinate divisors absorbed: each
+    coefficient times prod D_i^{e_i}."""
+    return [
+        (math.prod(map(pow, divisors, exps), start=coeff), exps)
+        for coeff, exps in terms
+    ]
 
 
 def _sign_axis(qs: Sequence[int]) -> int:
@@ -342,9 +448,9 @@ def _phase2_candidates(
     B: Fraction,
     poly: WPoly | None,
     nonvanishing: frozenset[int] = frozenset(),
-) -> tuple[list[tuple[int, ...]], int]:
+) -> tuple[PackedHits, int]:
     """The canonical points outside the phase-1 box that phase 2 builds,
-    in actual coordinates, and the volume of the residual boxes.
+    packed with their wh^m, and the volume of the residual boxes.
 
     Each support is handled in its reduced weight system q_i/d with bound
     B^d (the rescaling law lwh_{d*q} = (1/d) lwh_q makes this exact): the
@@ -358,7 +464,7 @@ def _phase2_candidates(
     """
     n = len(w.q)
     box = [_floor_pow(B, q) for q in w.q]
-    out: list[tuple[int, ...]] = []
+    out = PackedHits(w)
     count = 0
     for support in itertools.chain.from_iterable(
         itertools.combinations(range(n), k) for k in range(2, n + 1)
@@ -372,9 +478,12 @@ def _phase2_candidates(
         budgets_m = [_floor_pow(B**d, m * q) for q in qs]
         j = _sign_axis(qs)
         support_box = [box[i] for i in support]
+        if poly is not None:
+            terms = _support_terms(poly, support)
         for divisors, residual, profile in _deflation_profiles(qs, budgets_m, m):
             radii = [_nth_root_floor(b, m) for b in residual]
             count += math.prod(2 * r for r in radii)
+            out.fit(max(map(mul, divisors, radii)))
             # (c): D*y lies in the phase-1 box iff every |y_i| <= limits_i
             limits = list(map(floordiv, support_box, divisors))
             ranges = [[*range(-r, 0), *range(1, r + 1)] for r in radii]
@@ -382,8 +491,7 @@ def _phase2_candidates(
             if poly is None:
                 tuples = itertools.product(*ranges)
             else:
-                terms = _substituted_terms(poly, support, divisors)
-                tuples, _ = _scan_chunk((terms, ranges))
+                tuples, _ = _scan_chunk((_substituted_terms(terms, divisors), ranges))
             for y in tuples:
                 if all(map(le, map(abs, y), limits)):
                     continue  # phase 1 holds it
@@ -392,53 +500,34 @@ def _phase2_candidates(
                 full = [0] * n
                 for i, v in zip(support, map(mul, divisors, y)):
                     full[i] = v
-                out.append(tuple(full))
+                out.add(full, _wh_m(full, w))
     return out, count
 
 
-def _sort_hits(hits: list[SearchHit]) -> None:
-    """Sort hits in place by (wh_m, ``_lex_key``(coords)), on one int each.
-
-    The key packs wh_m and the digits 2|c_i| + (c_i < 0) in base
-    M = 2 max|c| + 2 over the hits.  Every digit is below M and every
-    tuple has the same length, so the ints order exactly as the pairs do,
-    and no tuple per hit is built."""
-    if not hits:
-        return
-    M = 2 * max(max(map(abs, h.coords)) for h in hits) + 2
-
-    def key(h: SearchHit) -> int:
-        k = h.wh_m
-        for c in h.coords:
-            k = k * M + 2 * abs(c) + (c < 0)
-        return k
-
-    hits.sort(key=key)
-
-
-def _collect(
-    config: SearchConfig, candidates: Sequence[tuple[int, ...]]
-) -> list[SearchHit]:
-    """Nonvanishing filter, exact wh filter, hits, sort.
+def _collect(config: SearchConfig, candidates: PackedHits) -> PackedHits:
+    """Nonvanishing filter, exact wh filter, sort.
 
     Every candidate is canonical, lies on the hypersurface and is built
     once, so only the required-nonzero coordinates and wh are left to
-    check.  A hit keeps the candidate's tuple, its wh^m and the shared
-    weight vector, and ``_sort_hits`` orders the hits by one int each.
+    check, both on the keys.  When every candidate passes, as in a search
+    that requires no coordinate to be nonzero, the candidates are sorted in
+    place and returned; otherwise the hits are a new ``PackedHits``.
     """
     w = config.w
-    nonvanishing = config.nonvanishing
-    # wh^m is an integer, so comparing it with floor(B^m) is exact
-    top = _floor_pow(config.bound, w.m)
-    hits = []
-    for coords in candidates:
-        if nonvanishing and any(coords[i] == 0 for i in nonvanishing):
-            continue
-        whm = _wh_m(coords, w)
-        if whm > top:
-            continue
-        hits.append(SearchHit(w, coords, whm))
-    _sort_hits(hits)
+    n = len(w.q)
+    width = candidates.width
+    # wh^m is an integer, so comparing it with floor(B^m) is exact: a key
+    # has wh^m above floor(B^m) iff it is at least the first key above it
+    above = (_floor_pow(config.bound, w.m) + 1) << width * n
+    # coordinate i is 0 iff its digit is
+    digits = [((1 << width) - 1) << width * (n - 1 - i) for i in config.nonvanishing]
+    keys = candidates.keys
+    hits = candidates
+    if digits or max(keys, default=0) >= above:
+        hits = PackedHits(w)
+        hits.width = width
+        hits.keys = [k for k in keys if k < above and all(k & d for d in digits)]
+    hits.keys.sort()
     return hits
 
 
@@ -487,19 +576,25 @@ def search(config: SearchConfig) -> SearchReport:
 
     t0 = time.monotonic()
     w, B = config.w, config.bound
-    hits: list[SearchHit] = []
+    hits = PackedHits(w)
     p1_count = p2_count = 0
     if B >= 1:
         terms = config.hypersurface.terms if config.hypersurface else None
         sols, p1_count = _scan_box(terms, _phase1_ranges(w, B), config.jobs)
-        # the box tuples that are canonical as they stand
-        candidates = [x for x in sols if any(x) and _canonical_coords(x, w.q) == x]
+        # the box tuples that are canonical as they stand; the box radius
+        # floor(B^q_i) is largest at the largest weight
+        candidates = PackedHits(w, _floor_pow(B, max(w.q)))
+        for x in sols:
+            if any(x) and _canonical_coords(x, w.q) == x:
+                candidates.add(x, _wh_m(x, w))
+        del sols  # the box tuples are not needed past this point
         if config.phase2:
             extra, p2_count = _phase2_candidates(
                 w, B, config.hypersurface, config.nonvanishing
             )
-            candidates.extend(extra)
-            del extra  # so that one list of candidates is alive in _collect
+            # phase 2's keys are most of them: add phase 1's to its list
+            extra.extend(candidates)
+            candidates = extra
         hits = _collect(config, candidates)
     return SearchReport(
         config=config,
@@ -517,7 +612,7 @@ def enumerate_bounded(config: SearchConfig) -> list[WPoint]:
     return [h.point for h in search(config).hits]
 
 
-def search_hypersurface(config: SearchConfig) -> list[SearchHit]:
+def search_hypersurface(config: SearchConfig) -> PackedHits:
     """Canonical points on V(f) with wh <= B, with exact wh^m and vanishing
     pattern per hit."""
     if config.hypersurface is None:

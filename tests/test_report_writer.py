@@ -1,6 +1,8 @@
 """The search report writer (`wproj.cli._emit` with points) against a
 reference kept here: the dict-per-point report rendered whole, as the CLI
-rendered it before it wrote each point from its ints."""
+rendered it before it wrote each point from its ints.  The writer reads
+the points packed, as a search hands them over; the reference reads the
+hits they were packed from."""
 
 import argparse
 import csv
@@ -12,7 +14,17 @@ from hypothesis import strategies as st
 
 from wproj import classify
 from wproj.cli import _emit
-from wproj.search import SearchHit
+from wproj.search import PackedHits, SearchHit
+
+
+def packed(w, hits) -> PackedHits:
+    """The hits packed in their order, each repacking the keys before it
+    when its coordinates are larger."""
+    points = PackedHits(w)
+    for h in hits:
+        points.fit(max(map(abs, h.coords)))
+        points.add(h.coords, h.wh_m)
+    return points
 
 
 def reference_report(fmt: str, result: dict, header: str, hits) -> str:
@@ -79,15 +91,15 @@ def reports(draw):
         "phase2_candidates": draw(st.integers(0, 10**6)),
         "wall_time_seconds": round(draw(st.floats(0, 1000)), 3),
     }
-    return result, f"# {len(hits)} points, wh^{w.m} <= 1", hits
+    return w, result, f"# {len(hits)} points, wh^{w.m} <= 1", hits
 
 
 @settings(max_examples=300, deadline=None)
 @given(reports(), st.sampled_from(["plain", "json", "csv"]))
 def test_writer_matches_reference(report, fmt):
-    result, header, hits = report
+    w, result, header, hits = report
     buf = io.StringIO()
-    _emit(buf, argparse.Namespace(format=fmt), result, [header], hits)
+    _emit(buf, argparse.Namespace(format=fmt), result, [header], packed(w, hits))
     assert buf.getvalue() == reference_report(fmt, result, header, hits)
 
 
@@ -109,5 +121,5 @@ def test_writer_matches_reference_on_named_cases():
     for fmt in ("plain", "json", "csv"):
         for points in ([], hits):
             buf = io.StringIO()
-            _emit(buf, argparse.Namespace(format=fmt), result, ["#"], points)
+            _emit(buf, argparse.Namespace(format=fmt), result, ["#"], packed(w, points))
             assert buf.getvalue() == reference_report(fmt, result, "#", points)

@@ -21,6 +21,7 @@ from wproj.cli import main
 from wproj.search import (
     _FAST_PATH_VOLUME,
     _SIEVE_PRIME,
+    PackedHits,
     SearchConfig,
     SearchHit,
     _deflation_profiles,
@@ -30,8 +31,8 @@ from wproj.search import (
     _scan_box,
     _scan_chunk,
     _sign_axis,
-    _sort_hits,
     _substituted_terms,
+    _support_terms,
     brute_force_oracle,
     enumerate_bounded,
     search,
@@ -256,9 +257,9 @@ class TestHits:
         assert (h.coords, h.wh_m, h.vanishing) == ((0, -5, 0), 25, (0, 2))
         assert SearchHit(w, (1, 1, 1), 1).vanishing == ()
 
-    def test_bytes_per_hit(self):
+    @staticmethod
+    def _peak_per_hit(config):
         # the tracemalloc peak of the whole search, over its hit count
-        config = SearchConfig(classify([2, 3]), Fraction(9, 4))
         search(config)  # warm every import and cache
         tracemalloc.start()
         try:
@@ -266,67 +267,132 @@ class TestHits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(hits) == 20_424
-        assert peak / len(hits) < 320
+        return len(hits), peak / len(hits)
+
+    def test_bytes_per_hit(self):
+        # a hit is one int key and its list slot, about 45 bytes here
+        config = SearchConfig(classify([2, 3]), Fraction(9, 4))
+        count, per_hit = self._peak_per_hit(config)
+        assert count == 20_424
+        assert per_hit <= 80
+
+    def test_bytes_per_hit_three_weights(self):
+        config = SearchConfig(classify([1, 2, 3]), Fraction(5, 2))
+        count, per_hit = self._peak_per_hit(config)
+        assert count == 75_165
+        assert per_hit <= 80
+
+    def test_report_hits_are_a_view(self):
+        w = classify([2, 3])
+        hits = search(SearchConfig(w, Fraction(2))).hits
+        assert isinstance(hits, PackedHits) and len(hits) == 5040
+        listed = list(hits)
+        assert listed[0] == hits[0] == SearchHit(w, (0, 1), 1)
+        assert hits[-1] == listed[-1] and hits[4000] == listed[4000]
+        assert [(h.wh_m, h.coords) for h in listed] == list(hits.decoded())
 
 
 # coordinates with zeros, both signs of one magnitude and values above 2^64
 _hit_coordinate = st.one_of(
     st.integers(-6, 6),
     st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**64) - 1, 2**70, -(2**70)]),
-    st.integers(-(2**80), 2**80),
+    st.integers(-(2**70), 2**70),
 )
 
 
 @st.composite
 def _hit_lists(draw):
+    """(w, [(coords, wh_m)]): 2-4 weights, coordinates up to 2^70 and
+    wh_m up to 2^80."""
     w = classify(draw(st.lists(st.integers(1, 6), min_size=2, max_size=4)))
     coords = st.lists(_hit_coordinate, min_size=len(w.q), max_size=len(w.q))
     # a few wh^m values, so that many hits share one
-    whm = st.one_of(st.integers(0, 3), st.integers(0, 2**70))
+    whm = st.one_of(st.integers(0, 3), st.integers(0, 2**80))
     pairs = draw(st.lists(st.tuples(coords.filter(any), whm), max_size=30))
     # and each hit again with its signs flipped
     pairs += [([-c for c in x], k) for x, k in pairs if draw(st.booleans())]
-    return [SearchHit(w, tuple(x), k) for x, k in pairs]
+    return w, [(tuple(x), k) for x, k in pairs]
+
+
+def _packed(w, pairs):
+    """The pairs packed as they arrive, from the narrowest width: each
+    larger coordinate repacks the keys before it."""
+    points = PackedHits(w)
+    for coords, wh_m in pairs:
+        points.fit(max(map(abs, coords)))
+        points.add(coords, wh_m)
+    return points
+
+
+def _sorted_pairs(pairs):
+    return sorted(pairs, key=lambda p: (p[1], _lex_key(p[0])))
 
 
 class TestPackedSortKey:
     @given(_hit_lists())
     @settings(max_examples=300, deadline=None)
-    def test_same_order_as_the_pair_key(self, hits):
-        want = sorted(hits, key=lambda h: (h.wh_m, _lex_key(h.coords)))
-        _sort_hits(hits)
-        assert hits == want
+    def test_same_order_as_the_pair_key(self, case):
+        w, pairs = case
+        points = _packed(w, pairs)
+        points.keys.sort()
+        assert [(c, k) for k, c in points.decoded()] == _sorted_pairs(pairs)
+
+    @given(_hit_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_decode_inverts_pack(self, case):
+        w, pairs = case
+        points = _packed(w, pairs)
+        assert [(c, k) for k, c in points.decoded()] == pairs
+        assert [(h.coords, h.wh_m) for h in points] == pairs
+        assert all(points[i] == SearchHit(w, c, k) for i, (c, k) in enumerate(pairs))
+
+    @given(_hit_lists(), st.integers(0, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_extend_brings_both_to_one_width(self, case, cut):
+        w, pairs = case
+        points, more = _packed(w, pairs[:cut]), _packed(w, pairs[cut:])
+        widths = (points.width, more.width)
+        points.extend(more)
+        assert points.width == more.width == max(widths)
+        assert [(c, k) for k, c in points.decoded()] == pairs
+
+    def test_repacks_at_least_double_the_width(self):
+        w = classify([1, 1])
+        points = PackedHits(w)
+        widths = [points.width]
+        for e in range(200):
+            points.fit(2**e)
+            points.add((2**e, -1), e)
+            if points.width != widths[-1]:
+                widths.append(points.width)
+        assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
+        assert len(widths) <= 9
+        assert list(points.decoded()) == [(e, (2**e, -1)) for e in range(200)]
 
     def test_named_cases(self):
         w = classify([1, 1, 1])
         big = 2**64 + 1
-        hits = [
-            SearchHit(w, c, k)
-            for c, k in [
-                ((big, 0, 1), 5),
-                ((-big, 0, 1), 5),
-                ((0, 0, -1), 5),
-                ((0, 0, 1), 5),
-                ((1, -1, 0), 5),
-                ((1, 1, 0), 2**70),
-                ((-1, 1, 0), 0),
-            ]
+        pairs = [
+            ((big, 0, 1), 5),
+            ((-big, 0, 1), 5),
+            ((0, 0, -1), 5),
+            ((0, 0, 1), 5),
+            ((1, -1, 0), 5),
+            ((1, 1, 0), 2**70),
+            ((-1, 1, 0), 0),
         ]
-        want = sorted(hits, key=lambda h: (h.wh_m, _lex_key(h.coords)))
-        _sort_hits(hits)
-        assert hits == want
-        assert [h.coords for h in hits[1:5]] == [
-            (0, 0, 1), (0, 0, -1), (1, -1, 0), (big, 0, 1)
-        ]
+        points = _packed(w, pairs)
+        points.keys.sort()
+        got = [(c, k) for k, c in points.decoded()]
+        assert got == _sorted_pairs(pairs)
+        assert [c for c, _ in got[1:5]] == [(0, 0, 1), (0, 0, -1), (1, -1, 0), (big, 0, 1)]
 
     def test_largest_digit_does_not_carry(self):
         # -max|c| in every place gives the largest key at its wh^m, which
         # must stay below the smallest key at the next wh^m
-        w = classify([1, 1])
-        hits = [SearchHit(w, (0, 1), 1), SearchHit(w, (-1, -1), 0)]
-        _sort_hits(hits)
-        assert [h.wh_m for h in hits] == [0, 1]
+        points = _packed(classify([1, 1]), [((0, 1), 1), ((-1, -1), 0)])
+        points.keys.sort()
+        assert [k for k, _ in points.decoded()] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +452,23 @@ def _reference_profiles(qs, budgets_m, m):
     yield from rec(tuple(budgets_m), 0)
 
 
+def _reference_substituted_terms(poly, support, divisors):
+    """Restrict f to a support (others = 0) and absorb coordinate divisors."""
+    if poly is None:
+        return None
+    terms = []
+    for coeff, exps in poly.terms:
+        if any(exps[i] > 0 for i in range(len(exps)) if i not in support):
+            continue
+        c = coeff
+        sub = []
+        for pos, i in enumerate(support):
+            c *= divisors[pos] ** exps[i]
+            sub.append(exps[i])
+        terms.append((c, tuple(sub)))
+    return terms
+
+
 def _reference_phase2(w, B, poly, nonvanishing):
     n = len(w.q)
     out = []
@@ -403,7 +486,7 @@ def _reference_phase2(w, B, poly, nonvanishing):
             if any(r == 0 for r in radii):
                 continue
             ranges = [[y for y in range(-r, r + 1) if y != 0] for r in radii]
-            terms = _substituted_terms(poly, support, divisors)
+            terms = _reference_substituted_terms(poly, support, divisors)
             sols, _ = _scan_box(terms, ranges, 1)
             for y in sols:
                 full = [0] * n
@@ -657,6 +740,50 @@ class TestP1Count:
         w = classify(q)
         assert _p1_hit_count(_floor_pow(B, w.m)) == expected
         assert len(search(SearchConfig(w, B)).hits) == expected
+
+
+class TestSubstitution:
+    @pytest.mark.parametrize("q", sorted(_POLYS))
+    def test_same_terms_as_reference(self, q):
+        names = {f"x{i}": qi for i, qi in enumerate(q)}
+        for text in _POLYS[q]:
+            f = parse_poly(text, names)
+            for k in range(2, len(q) + 1):
+                for support in itertools.combinations(range(len(q)), k):
+                    terms = _support_terms(f, support)
+                    for divisors in itertools.product((1, 2, 12), repeat=k):
+                        assert _substituted_terms(terms, divisors) == (
+                            _reference_substituted_terms(f, support, divisors)
+                        )
+
+    @pytest.mark.parametrize(
+        "q,B,poly,supports",
+        [
+            ((2, 3), Fraction(9, 4), "x0^3 - x1^2", 1),
+            ((1, 2, 3), Fraction(3, 2), "x0 x1 - x2", 4),
+        ],
+    )
+    def test_support_terms_once_per_support(self, monkeypatch, q, B, poly, supports):
+        # which terms survive depends on the support alone, not the profile
+        calls, profiles = [], []
+        support_terms = search_module._support_terms
+        walk = search_module._deflation_profiles
+
+        def counted(*args):
+            calls.append(args[1])
+            return support_terms(*args)
+
+        def walked(*args):
+            for item in walk(*args):
+                profiles.append(item)
+                yield item
+
+        monkeypatch.setattr(search_module, "_support_terms", counted)
+        monkeypatch.setattr(search_module, "_deflation_profiles", walked)
+        f = parse_poly(poly, {f"x{i}": qi for i, qi in enumerate(q)})
+        search(SearchConfig(classify(q), B, hypersurface=f))
+        assert len(calls) == len(set(calls)) == supports
+        assert len(profiles) > supports
 
 
 class TestResidualScan:
