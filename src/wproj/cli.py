@@ -85,16 +85,21 @@ def _jobs(text: str) -> int:
     return min(n, os.cpu_count() or 1)
 
 
-def _load_wpoly(path: str):
+def _load_wpoly(path: str, w: WeightVector | None = None):
+    """The header weights and polynomials of a .wpoly file; with `w`, the
+    header weights must be those of --weights."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     try:
-        return parse_wpoly_file(text)
+        weights, polys = parse_wpoly_file(text)
     except ParseError as exc:
         raise UsageError(f"malformed polynomial file {path}: {exc}")
+    if w is not None and tuple(weights.values()) != w.q:
+        raise UsageError("polynomial weights do not match --weights")
+    return weights, polys
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +433,9 @@ def _cmd_search(args) -> tuple:
     poly = None
     names: dict[str, int] = {}  # header variable -> coordinate index
     if args.poly:
-        weights, polys = _load_wpoly(args.poly)
+        weights, polys = _load_wpoly(args.poly, w)
         if len(polys) != 1:
             raise UsageError("search expects exactly one polynomial")
-        if tuple(weights.values()) != w.q:
-            raise UsageError("polynomial weights do not match --weights")
         poly = polys[0]
         names = {name: i for i, name in enumerate(weights)}
     idx = set()
@@ -470,9 +473,7 @@ def _cmd_search(args) -> tuple:
 
 def _cmd_vojta_scan(args) -> tuple:
     w = parse_weights(args.weights)
-    weights, polys = _load_wpoly(args.poly)
-    if tuple(weights.values()) != w.q:
-        raise UsageError("polynomial weights do not match --weights")
+    _, polys = _load_wpoly(args.poly, w)
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
@@ -500,11 +501,6 @@ def _cmd_vojta_scan(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    sp.add_argument("--out", default=None, help="write output to a file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wproj",
@@ -512,108 +508,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wproj {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("factor", help="factor a nonzero integer")
-    sp.add_argument("n")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_factor)
-
-    for name, fn in [
-        ("wgcd", _cmd_wgcd),
-        ("normalize", _cmd_normalize),
-        ("canonical", _cmd_canonical),
-        ("singular", _cmd_singular),
-    ]:
-        sp = sub.add_parser(name)
-        sp.add_argument("--weights", required=True)
-        sp.add_argument("--tuple", required=True)
-        _add_common(sp)
-        sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("equals", help="same point of P_w(Q)?")
-    sp.add_argument("--weights", required=True)
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_equals)
-
-    sp = sub.add_parser("height", help="logarithmic weighted height")
-    sp.add_argument("--weights", required=True)
-    sp.add_argument("--point", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_height)
-
-    sp = sub.add_parser("hwgcd", help="weighted gcd over finite places")
-    sp.add_argument("--weights", required=True)
-    sp.add_argument("--tuple", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_hwgcd)
-
-    sp = sub.add_parser("hgcd", help="generalized logarithmic gcd of two rationals")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_hgcd)
-
-    sp = sub.add_parser("split-height", help="divisor height split at S")
-    sp.add_argument("--weights", required=True)
-    sp.add_argument("--point", required=True)
-    sp.add_argument("--primes", default="")
-    sp.add_argument("--divisor", default="", help="coordinate indices, default all")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_split_height)
-
-    sp = sub.add_parser("poly-check", help="parse and validate a .wpoly file")
-    sp.add_argument("--poly", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_poly_check)
-
-    sp = sub.add_parser("poly-eval", help="evaluate polynomials at a point")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--point", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_poly_eval)
-
-    sp = sub.add_parser("subscheme-height", help="global height relative to a subscheme")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--point", required=True)
-    sp.add_argument("--codim", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_subscheme_height)
-
-    sp = sub.add_parser("reduce-weights", help="divide out the weight gcd")
-    sp.add_argument("--weights", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_reduce_weights)
-
+    report = [
+        ("--format", {"choices": ["plain", "json", "csv"], "default": "plain"}),
+        ("--out", {"help": "write output to a file"}),
+    ]
     # a string default goes through type=_jobs too, so WPROJ_JOBS is checked
-    default_jobs = os.environ.get("WPROJ_JOBS", "1")
-
-    sp = sub.add_parser("search", help="bounded-height point search")
-    sp.add_argument("--weights", required=True)
-    sp.add_argument("--bound", required=True)
-    sp.add_argument("--poly", default=None)
-    sp.add_argument("--require-nonzero", default=None)
-    sp.add_argument("--jobs", type=_jobs, default=default_jobs)
-    sp.add_argument("--no-phase2", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_search)
-
-    sp = sub.add_parser("vojta-scan", help="empirical gcd-bound scan")
-    sp.add_argument("--weights", required=True)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--codim", type=int, required=True)
-    sp.add_argument("--primes", default="")
-    sp.add_argument("--eps", required=True)
-    sp.add_argument("--delta", required=True)
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--box", required=True)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--coprime", action="store_true")
-    sp.add_argument("--jobs", type=_jobs, default=default_jobs)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_vojta_scan)
-
+    jobs = ("--jobs", {"type": _jobs, "default": os.environ.get("WPROJ_JOBS", "1")})
+    codim = ("--codim", {"type": int, "required": True})
+    primes = ("--primes", {"default": ""})
+    flag = {"action": "store_true"}
+    # name, handler, help (None: not listed by `wproj --help`) and options,
+    # each the name of a required option or (name, add_argument keywords)
+    commands = [
+        ("factor", _cmd_factor, "factor a nonzero integer", [("n", {}), *report]),
+        ("wgcd", _cmd_wgcd, None, ["--weights", "--tuple", *report]),
+        ("normalize", _cmd_normalize, None, ["--weights", "--tuple", *report]),
+        ("canonical", _cmd_canonical, None, ["--weights", "--tuple", *report]),
+        ("singular", _cmd_singular, None, ["--weights", "--tuple", *report]),
+        ("equals", _cmd_equals, "same point of P_w(Q)?",
+         ["--weights", "--left", "--right", *report]),
+        ("height", _cmd_height, "logarithmic weighted height",
+         ["--weights", "--point", *report]),
+        ("hwgcd", _cmd_hwgcd, "weighted gcd over finite places",
+         ["--weights", "--tuple", *report]),
+        ("hgcd", _cmd_hgcd, "generalized logarithmic gcd of two rationals",
+         ["--a", "--b", *report]),
+        ("split-height", _cmd_split_height, "divisor height split at S",
+         ["--weights", "--point", primes,
+          ("--divisor", {"default": "", "help": "coordinate indices, default all"}),
+          *report]),
+        ("poly-check", _cmd_poly_check, "parse and validate a .wpoly file",
+         ["--poly", *report]),
+        ("poly-eval", _cmd_poly_eval, "evaluate polynomials at a point",
+         ["--poly", "--point", *report]),
+        ("subscheme-height", _cmd_subscheme_height,
+         "global height relative to a subscheme",
+         ["--poly", "--point", codim, *report]),
+        ("reduce-weights", _cmd_reduce_weights, "divide out the weight gcd",
+         ["--weights", *report]),
+        ("search", _cmd_search, "bounded-height point search",
+         ["--weights", "--bound", ("--poly", {}), ("--require-nonzero", {}), jobs,
+          ("--no-phase2", flag), *report]),
+        ("vojta-scan", _cmd_vojta_scan, "empirical gcd-bound scan",
+         ["--weights", "--poly", codim, primes, "--eps", "--delta",
+          ("--samples", {"type": int, "required": True}), "--box",
+          ("--seed", {"type": int}), ("--coprime", flag), jobs, ("--out", {})]),
+    ]
+    for name, fn, text, options in commands:
+        sp = sub.add_parser(name, **({"help": text} if text else {}))
+        for opt in options:
+            opt, kw = (opt, {"required": True}) if isinstance(opt, str) else opt
+            sp.add_argument(opt, **kw)
+        sp.set_defaults(fn=fn)
     return parser
 
 

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import mpmath
 
@@ -508,14 +508,11 @@ class FormalLog:
         """Certified sign of the represented real value (-1, 0, +1)."""
         if not self.coeffs:
             return -1 if self.const < 0 else (1 if self.const > 0 else 0)
-        prec = _FLOAT_PREC
-        while True:
-            lo, hi = self._interval(prec)
+        for lo, hi in self._ladder():
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            prec *= 2
 
     def compare(self, other: "FormalLog") -> int:
         if self == other:
@@ -533,6 +530,15 @@ class FormalLog:
 
     def __ge__(self, other: "FormalLog") -> bool:
         return self.compare(other) >= 0
+
+    def _ladder(self) -> Iterator[tuple]:
+        """The enclosures ``_interval`` gives of the value, from the float
+        rung up, doubling the precision each time, for as long as the caller
+        asks.  The float rung's (-inf, inf) is among them when it gives up."""
+        prec = _FLOAT_PREC
+        while True:
+            yield self._interval(prec)
+            prec *= 2
 
     def _interval(self, prec: int) -> tuple[float, float] | tuple[Fraction, Fraction]:
         """(lo, hi) with lo <= value <= hi, at the given binary precision.
@@ -638,14 +644,11 @@ class FormalLog:
         if not self.coeffs:
             return math.floor(self.const / q)
         scaled = self.scale(Fraction(1, q))  # exact; intervals stay conservative
-        prec = _FLOAT_PREC
-        while True:
-            lo, hi = scaled._interval(prec)
+        for lo, hi in scaled._ladder():
             if lo > -math.inf and hi < math.inf:  # else the float rung gave up
                 flo = math.floor(lo)
                 if flo == math.floor(hi):
                     return flo
-            prec *= 2
 
     # -- renderings ---------------------------------------------------------
 

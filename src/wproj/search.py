@@ -34,10 +34,10 @@ every canonical point of height at most B is then built exactly once;
 Hits.  A point is one int from the moment it is built until it is
 written: the key wh^m followed by the digits 2|c_i| + (c_i < 0) of its
 coordinates, each ``PackedHits.width`` bits wide.  Phase 1 packs its
-canonical box tuples and phase 2 its multiples D*y as they arrive, so no
-list of tuples or ``SearchHit`` is built; ``_collect`` sorts the ints as
-they are, which is the order of (wh^m, ``_lex_key``), and the writers
-decode each key to text.  Every point is alive until it is written, so the
+canonical box tuples and phase 2 its multiples D*y into one ``PackedHits``
+as they arrive, so no list of tuples or ``SearchHit`` is built;
+``_collect`` sorts the ints as they are, which is the order of (wh^m,
+``_lex_key``), and the writers decode each key to text.  Every point is alive until it is written, so the
 keys are a search's peak memory.  A ``SearchHit`` is built only when a
 caller reads one from ``SearchReport.hits``.
 """
@@ -75,6 +75,8 @@ class SearchConfig:
     phase2: bool = True
 
     def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise DomainError("jobs must be a positive integer")
         n = len(self.w.q)
         if any(not 0 <= i < n for i in self.nonvanishing):
             raise DomainError(f"nonvanishing coordinate indices must lie in 0..{n - 1}")
@@ -139,7 +141,8 @@ def _decode(
 
 
 class PackedHits(Sequence):
-    """The points of one search, one int each.
+    """The points of one search, one int each: phase 1 and then phase 2
+    pack into one ``PackedHits``, which ``_collect`` sorts.
 
     A key is wh^m followed by the digits 2|c_i| + (c_i < 0), ``width`` bits
     each.  Every digit is below 2^width and every key has the same number of
@@ -160,7 +163,9 @@ class PackedHits(Sequence):
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __getitem__(self, i: int) -> SearchHit:
+    def __getitem__(self, i: int | slice) -> SearchHit | list[SearchHit]:
+        if isinstance(i, slice):
+            return [self._hit(k) for k in self.keys[i]]
         return self._hit(self.keys[i])
 
     def __iter__(self) -> Iterator[SearchHit]:
@@ -186,15 +191,7 @@ class PackedHits(Sequence):
         if need > self.width:
             self._repack(max(need, 2 * self.width))
 
-    def extend(self, other: PackedHits) -> None:
-        """Add the keys of ``other``, after bringing both to one width."""
-        self._repack(max(self.width, other.width))
-        other._repack(self.width)
-        self.keys.extend(other.keys)
-
     def _repack(self, width: int) -> None:
-        if width == self.width:
-            return
         keys = self.keys
         points = _decode(keys, self.width, len(self.w.q))
         self.width = width
@@ -447,10 +444,12 @@ def _phase2_candidates(
     w: WeightVector,
     B: Fraction,
     poly: WPoly | None,
-    nonvanishing: frozenset[int] = frozenset(),
+    nonvanishing: frozenset[int],
+    out: PackedHits,
 ) -> tuple[PackedHits, int]:
-    """The canonical points outside the phase-1 box that phase 2 builds,
-    packed with their wh^m, and the volume of the residual boxes.
+    """``out``, after phase 2 has packed into it the canonical points
+    outside the phase-1 box with their wh^m, and the volume of the residual
+    boxes.
 
     Each support is handled in its reduced weight system q_i/d with bound
     B^d (the rescaling law lwh_{d*q} = (1/d) lwh_q makes this exact): the
@@ -464,7 +463,6 @@ def _phase2_candidates(
     """
     n = len(w.q)
     box = [_floor_pow(B, q) for q in w.q]
-    out = PackedHits(w)
     count = 0
     for support in itertools.chain.from_iterable(
         itertools.combinations(range(n), k) for k in range(2, n + 1)
@@ -581,20 +579,18 @@ def search(config: SearchConfig) -> SearchReport:
     if B >= 1:
         terms = config.hypersurface.terms if config.hypersurface else None
         sols, p1_count = _scan_box(terms, _phase1_ranges(w, B), config.jobs)
-        # the box tuples that are canonical as they stand; the box radius
-        # floor(B^q_i) is largest at the largest weight
+        # the box tuples that are canonical as they stand, to which phase 2
+        # adds its points; the box radius floor(B^q_i) is largest at the
+        # largest weight
         candidates = PackedHits(w, _floor_pow(B, max(w.q)))
         for x in sols:
             if any(x) and _canonical_coords(x, w.q) == x:
                 candidates.add(x, _wh_m(x, w))
         del sols  # the box tuples are not needed past this point
         if config.phase2:
-            extra, p2_count = _phase2_candidates(
-                w, B, config.hypersurface, config.nonvanishing
+            candidates, p2_count = _phase2_candidates(
+                w, B, config.hypersurface, config.nonvanishing, candidates
             )
-            # phase 2's keys are most of them: add phase 1's to its list
-            extra.extend(candidates)
-            candidates = extra
         hits = _collect(config, candidates)
     return SearchReport(
         config=config,

@@ -536,6 +536,30 @@ class TestVojtaScanCommand:
         code, _, err = run(capsys, *self._argv(z_file, **{"--codim": "1"}))
         assert code == 1
 
+    def test_no_format_option(self, capsys, z_file):
+        code, out, err = run(capsys, *self._argv(z_file, **{"--format": "json"}))
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --format json" in err
+
+    def test_jobs_from_env_checked(self, capsys, monkeypatch, z_file):
+        monkeypatch.setenv("WPROJ_JOBS", "0")
+        code, out, err = run(capsys, *self._argv(z_file))
+        assert (code, out) == (2, "")
+        assert "positive integer" in err and "Traceback" not in err
+
+    def test_header_weights_must_match(self, capsys, z_file, tmp_path):
+        line = tmp_path / "line.wpoly"
+        line.write_text("weights: x0=1 x1=2 x2=3\n\nx1\n")
+        for argv in (
+            self._argv(z_file, **{"--weights": "1,2,4"}),
+            ["search", "--weights", "1,2,4", "--bound", "1", "--poly", str(line)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == (
+                "usage error: polynomial weights do not match --weights"
+            )
+
 
 class TestPrimesMustBePrimes:
     def test_split_height(self, capsys):

@@ -618,6 +618,11 @@ class TestFloatRung:
         seen = self._precisions(monkeypatch)
         assert v.sign() == expected
         assert seen[:2] == [53, 106]
+        # the float rung gives up on huge-coefficient and tiny-coefficients
+        # with (-inf, inf), which the floor must pass over: math.floor of an
+        # infinity raises
+        for q in (1, 2):
+            assert v.floor_of_quotient(q) == _ref_floor(v, q)
 
     def test_floor_near_an_integer_reaches_mpmath(self, monkeypatch):
         # log 2 - fl(log 2) is about 2.3e-17: floor 0, float enclosure [-e, e]

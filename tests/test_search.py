@@ -223,6 +223,13 @@ class TestDeterminism:
         assert one == two
         assert (len(one[0]), one[1]) == (20, 29**3)
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        # with no worker the phase-1 box scan made no runs, and a search of
+        # P(2,3) at 9/4 lost its 110 phase-1 points without an error
+        with pytest.raises(DomainError, match="jobs"):
+            SearchConfig(classify([2, 3]), Fraction(9, 4), jobs=jobs)
+
 
 class TestBruteForceOracle:
     def test_radius_zero_empty(self):
@@ -291,6 +298,16 @@ class TestHits:
         assert hits[-1] == listed[-1] and hits[4000] == listed[4000]
         assert [(h.wh_m, h.coords) for h in listed] == list(hits.decoded())
 
+    def test_slices_are_lists_of_hits(self):
+        hits = search(SearchConfig(classify([2, 3]), Fraction(3, 2))).hits
+        listed = list(hits)
+        for a, b, step in [
+            (0, 2, None), (-5, None, None), (None, -3, 2), (-2, -40, -3),
+            (None, None, -1), (7, 3, None), (-1000, 1000, 7),
+        ]:
+            got = hits[a:b:step]
+            assert type(got) is list and got == listed[a:b:step]
+
 
 # coordinates with zeros, both signs of one magnitude and values above 2^64
 _hit_coordinate = st.one_of(
@@ -345,16 +362,6 @@ class TestPackedSortKey:
         assert [(c, k) for k, c in points.decoded()] == pairs
         assert [(h.coords, h.wh_m) for h in points] == pairs
         assert all(points[i] == SearchHit(w, c, k) for i, (c, k) in enumerate(pairs))
-
-    @given(_hit_lists(), st.integers(0, 60))
-    @settings(max_examples=100, deadline=None)
-    def test_extend_brings_both_to_one_width(self, case, cut):
-        w, pairs = case
-        points, more = _packed(w, pairs[:cut]), _packed(w, pairs[cut:])
-        widths = (points.width, more.width)
-        points.extend(more)
-        assert points.width == more.width == max(widths)
-        assert [(c, k) for k, c in points.decoded()] == pairs
 
     def test_repacks_at_least_double_the_width(self):
         w = classify([1, 1])
