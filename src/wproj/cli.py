@@ -22,6 +22,7 @@ from .exactnum import DomainError, FormalLog, ParseError, factor
 from .wspace import WeightVector, classify, is_singular, parse_weights, reduce_weights
 from .wpoint import (
     WPoint,
+    _vanishing,
     canonicalize,
     equals,
     normalize,
@@ -32,7 +33,7 @@ from .wpoint import (
 from .wheight import hgcd, hwgcd_mult, lwh, split_height_S, wh_m_power
 from .wpoly import SubschemeSpec, global_height_Y, parse_wpoly_file
 from . import vojtalab
-from .search import PackedHits, SearchConfig, _vanishing
+from .search import PackedHits, SearchConfig
 from .search import search as run_search
 
 
@@ -86,8 +87,8 @@ def _jobs(text: str) -> int:
 
 
 def _load_wpoly(path: str, w: WeightVector | None = None):
-    """The header weights and polynomials of a .wpoly file; with `w`, the
-    header weights must be those of --weights."""
+    """The header weights, their weight vector and the polynomials of a
+    .wpoly file; with `w`, the header weights must be those of --weights."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -99,7 +100,7 @@ def _load_wpoly(path: str, w: WeightVector | None = None):
         raise UsageError(f"malformed polynomial file {path}: {exc}")
     if w is not None and tuple(weights.values()) != w.q:
         raise UsageError("polynomial weights do not match --weights")
-    return weights, polys
+    return weights, classify(list(weights.values())), polys
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def _cmd_hgcd(args) -> tuple:
 
 def _cmd_split_height(args) -> tuple:
     w = parse_weights(args.weights)
-    x = parse_point(args.point, w)
+    x = normalize(parse_point(args.point, w))
     S = set(_int_list(args.primes)) if args.primes else set()
     divisor = list(_int_list(args.divisor)) if args.divisor else None
     sh = split_height_S(x, S, divisor)
@@ -376,7 +377,7 @@ def _cmd_split_height(args) -> tuple:
 
 
 def _cmd_poly_check(args) -> tuple:
-    weights, polys = _load_wpoly(args.poly)
+    weights, _, polys = _load_wpoly(args.poly)
     lines = [f"weights: {' '.join(f'{n}={q}' for n, q in weights.items())}"]
     for f in polys:
         lines.append(f"degree {f.degree}: {f}")
@@ -391,16 +392,14 @@ def _cmd_poly_check(args) -> tuple:
 
 
 def _cmd_poly_eval(args) -> tuple:
-    weights, polys = _load_wpoly(args.poly)
-    w = classify(list(weights.values()))
+    _, w, polys = _load_wpoly(args.poly)
     x = parse_point(args.point, w)
     values = [f.eval(x.coords) for f in polys]
     return {"point": str(x), "values": values}, [str(v) for v in values]
 
 
 def _cmd_subscheme_height(args) -> tuple:
-    weights, polys = _load_wpoly(args.poly)
-    w = classify(list(weights.values()))
+    _, w, polys = _load_wpoly(args.poly)
     spec = SubschemeSpec(tuple(polys), args.codim)
     x = parse_point(args.point, w)
     h = global_height_Y(spec, x)
@@ -433,7 +432,7 @@ def _cmd_search(args) -> tuple:
     poly = None
     names: dict[str, int] = {}  # header variable -> coordinate index
     if args.poly:
-        weights, polys = _load_wpoly(args.poly, w)
+        weights, _, polys = _load_wpoly(args.poly, w)
         if len(polys) != 1:
             raise UsageError("search expects exactly one polynomial")
         poly = polys[0]
@@ -473,7 +472,7 @@ def _cmd_search(args) -> tuple:
 
 def _cmd_vojta_scan(args) -> tuple:
     w = parse_weights(args.weights)
-    _, polys = _load_wpoly(args.poly, w)
+    _, _, polys = _load_wpoly(args.poly, w)
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)

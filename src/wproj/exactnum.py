@@ -353,6 +353,7 @@ def _log_term(p: int, num: int, den: int, prec: int) -> tuple:
     return lib.mpf_div(term, lib.from_int(den), prec, rnd)
 
 
+@functools.total_ordering
 class FormalLog:
     """Exact value  const + sum_p coeffs[p] * log p  with rational parts.
 
@@ -519,17 +520,9 @@ class FormalLog:
             return 0
         return (self - other).sign()
 
+    # total_ordering builds <=, > and >= from __lt__ and __eq__
     def __lt__(self, other: "FormalLog") -> bool:
         return self.compare(other) < 0
-
-    def __le__(self, other: "FormalLog") -> bool:
-        return self.compare(other) <= 0
-
-    def __gt__(self, other: "FormalLog") -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: "FormalLog") -> bool:
-        return self.compare(other) >= 0
 
     def _ladder(self) -> Iterator[tuple]:
         """The enclosures ``_interval`` gives of the value, from the float

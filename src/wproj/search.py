@@ -12,6 +12,11 @@ unchanged, which are those meeting (i) and (ii); phase 2 builds only such
 tuples, each once.  No candidate is deduplicated, and none from phase 2 is
 factored.
 
+Every candidate is a hit.  Both phases apply the required-nonzero rule
+(``SearchConfig.nonvanishing``) before they pack a point: phase 1 to each
+box tuple, phase 2 by skipping each support that lacks a required index.
+So ``_collect`` only confirms wh exactly and sorts.
+
 Completeness strategy (two phases).  Phase 1 scans the base box
 |x_i| <= floor(B^{q_i}), which contains every point whose finite
 local-height factors are trivial, and keeps its canonical tuples.  A
@@ -28,18 +33,17 @@ and against limits made once per profile (D*y is in the box iff every
 |y_i| <= floor(box_i / D_i)), and the profile is exactly the point's own.
 The sign rule (ii) fixes the sign of one coordinate per support, so
 phase 2 scans only that half of each residual box.  ``search`` proves that
-every canonical point of height at most B is then built exactly once;
-``_collect`` checks wh exactly.
+every canonical point of height at most B is then built exactly once.
 
 Hits.  A point is one int from the moment it is built until it is
 written: the key wh^m followed by the digits 2|c_i| + (c_i < 0) of its
 coordinates, each ``PackedHits.width`` bits wide.  Phase 1 packs its
-canonical box tuples and phase 2 its multiples D*y into one ``PackedHits``
-as they arrive, so no list of tuples or ``SearchHit`` is built;
-``_collect`` sorts the ints as they are, which is the order of (wh^m,
-``_lex_key``), and the writers decode each key to text.  Every point is alive until it is written, so the
-keys are a search's peak memory.  A ``SearchHit`` is built only when a
-caller reads one from ``SearchReport.hits``.
+kept box tuples and phase 2 its multiples D*y into one ``PackedHits`` as
+they arrive, so no list of tuples or ``SearchHit`` is built; ``_collect``
+sorts the ints in place, which is the order of (wh^m, ``_lex_key``), and
+the writers decode each key to text.  Every point is alive until it is
+written, so the keys are a search's peak memory.  A ``SearchHit`` is
+built only when a caller reads one from ``SearchReport.hits``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from operator import floordiv, le, lt, mul
 
 from ._fanout import fan_out
 from .exactnum import DomainError, _nth_root_floor, _primes_upto
-from .wpoint import WPoint, _canonical_coords, _wh_m, canonicalize
+from .wpoint import WPoint, _canonical_coords, _vanishing, _wh_m, canonicalize
 from .wpoly import WPoly, _eval_terms
 from .wspace import WeightVector
 
@@ -104,13 +108,6 @@ class SearchHit:
     @property
     def vanishing(self) -> tuple[int, ...]:
         return _vanishing(self.coords)
-
-
-def _vanishing(coords: Sequence[int]) -> tuple[int, ...]:
-    """The indices of the zero coordinates."""
-    if 0 not in coords:  # most points, and a quicker test than the scan
-        return ()
-    return tuple(i for i, c in enumerate(coords) if c == 0)
 
 
 def _pack(coords: Iterable[int], wh_m: int, width: int) -> int:
@@ -224,14 +221,6 @@ def _floor_pow(B: Fraction, e: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scan_box_exact(terms, ranges) -> list[tuple[int, ...]]:
-    out = []
-    for tup in itertools.product(*ranges):
-        if terms is None or _eval_terms(terms, tup) == 0:
-            out.append(tup)
-    return out
-
-
 def _scan_box_fast(terms, ranges) -> list[tuple[int, ...]]:
     """Sieve modulo P = _SIEVE_PRIME along the longest axis, then confirm
     over Z: an integer zero is zero mod P, so no root is missed.  Residues
@@ -286,12 +275,12 @@ def _scan_box_fast(terms, ranges) -> list[tuple[int, ...]]:
 def _scan_chunk(args) -> tuple[list[tuple[int, ...]], int]:
     """Worker: scan a sub-box; returns (solutions, candidate count)."""
     terms, ranges = args
-    volume = 1
-    for r in ranges:
-        volume *= len(r)
-    if terms is not None and volume > _FAST_PATH_VOLUME:
+    volume = math.prod(map(len, ranges))
+    if terms is None:
+        return list(itertools.product(*ranges)), volume
+    if volume > _FAST_PATH_VOLUME:
         return _scan_box_fast(terms, ranges), volume
-    return _scan_box_exact(terms, ranges), volume
+    return [t for t in itertools.product(*ranges) if _eval_terms(terms, t) == 0], volume
 
 
 def _scan_box(terms, ranges, jobs: int) -> tuple[list[tuple[int, ...]], int]:
@@ -503,44 +492,38 @@ def _phase2_candidates(
 
 
 def _collect(config: SearchConfig, candidates: PackedHits) -> PackedHits:
-    """Nonvanishing filter, exact wh filter, sort.
+    """The hits, sorted: ``candidates``, with its keys sorted in place.
 
-    Every candidate is canonical, lies on the hypersurface and is built
-    once, so only the required-nonzero coordinates and wh are left to
-    check, both on the keys.  When every candidate passes, as in a search
-    that requires no coordinate to be nonzero, the candidates are sorted in
-    place and returned; otherwise the hits are a new ``PackedHits``.
+    Every candidate is a hit: canonical, with each required-nonzero
+    coordinate nonzero, on the hypersurface and built once.  The box radius
+    and the residual radii keep wh within the bound too, which the largest
+    key confirms exactly; a key above it would be dropped from the list.
     """
     w = config.w
-    n = len(w.q)
-    width = candidates.width
+    keys = candidates.keys
     # wh^m is an integer, so comparing it with floor(B^m) is exact: a key
     # has wh^m above floor(B^m) iff it is at least the first key above it
-    above = (_floor_pow(config.bound, w.m) + 1) << width * n
-    # coordinate i is 0 iff its digit is
-    digits = [((1 << width) - 1) << width * (n - 1 - i) for i in config.nonvanishing]
-    keys = candidates.keys
-    hits = candidates
-    if digits or max(keys, default=0) >= above:
-        hits = PackedHits(w)
-        hits.width = width
-        hits.keys = [k for k in keys if k < above and all(k & d for d in digits)]
-    hits.keys.sort()
-    return hits
+    above = (_floor_pow(config.bound, w.m) + 1) << candidates.width * len(w.q)
+    if max(keys, default=0) >= above:
+        keys[:] = [k for k in keys if k < above]
+    keys.sort()
+    return candidates
 
 
 def search(config: SearchConfig) -> SearchReport:
     """Run the bounded-height search (with or without a hypersurface).
 
-    Each canonical point x with wh(x) <= B (on V(f), if given) is built
-    exactly once.  If x lies in the phase-1 box, phase 1 keeps it and
-    phase 2 does not, by (c) below.  Otherwise let T be its support and
-    P(x) the pairs (p, c_p(x)) with c_p(x) > 0, levels taken in the
-    reduced weights q_i/d_T, where canonicity puts them in (0, 1); each is
-    some a/q_i, the ratio at an index attaining the minimum.  Phase 2
-    visits the profile P = P(x) once (its primes increase along the
-    recursion) and builds x = D*y from y = x/D, which is integral since
-    v_p(x_i) >= q_i c_p forces v_p(x_i) >= e_i = ceil(q_i c_p).  y lies in
+    Each canonical point x with wh(x) <= B (on V(f), if given, and
+    nonzero at every required index) is built exactly once, and nothing
+    else is built: every candidate is a hit.  If x lies in the phase-1
+    box, phase 1 keeps it and phase 2 does not, by (c) below.  Otherwise
+    let T be its support and P(x) the pairs (p, c_p(x)) with c_p(x) > 0,
+    levels taken in the reduced weights q_i/d_T, where canonicity puts
+    them in (0, 1); each is some a/q_i, the ratio at an index attaining
+    the minimum.  Phase 2 visits the profile P = P(x) once (its primes
+    increase along the recursion) and builds x = D*y from y = x/D, which
+    is integral since v_p(x_i) >= q_i c_p forces
+    v_p(x_i) >= e_i = ceil(q_i c_p).  y lies in
     the residual box: in the reduced weights, with bound B^{d_T}, integral
     x has height max_i |x_i|^{1/q_i} prod_p p^{-c_p}, so wh(x) <= B is
     exactly |y_i| <= residual radius_i for every i.
@@ -579,12 +562,13 @@ def search(config: SearchConfig) -> SearchReport:
     if B >= 1:
         terms = config.hypersurface.terms if config.hypersurface else None
         sols, p1_count = _scan_box(terms, _phase1_ranges(w, B), config.jobs)
-        # the box tuples that are canonical as they stand, to which phase 2
-        # adds its points; the box radius floor(B^q_i) is largest at the
-        # largest weight
+        # the box tuples that are hits as they stand (nonzero at every
+        # required index and canonical), to which phase 2 adds its points;
+        # the box radius floor(B^q_i) is largest at the largest weight
         candidates = PackedHits(w, _floor_pow(B, max(w.q)))
         for x in sols:
-            if any(x) and _canonical_coords(x, w.q) == x:
+            kept = any(x) and all(x[i] for i in config.nonvanishing)
+            if kept and _canonical_coords(x, w.q) == x:
                 candidates.add(x, _wh_m(x, w))
         del sols  # the box tuples are not needed past this point
         if config.phase2:

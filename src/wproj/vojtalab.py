@@ -22,7 +22,7 @@ from typing import Iterator
 from ._fanout import fan_out
 from .exactnum import INFINITE_PLACE, DomainError, FormalLog, Place
 from .wheight import local_height, split_height_S
-from .wpoint import WPoint, wgcd_tuple
+from .wpoint import WPoint, _vanishing, wgcd_tuple
 from .wpoly import SubschemeSpec, _log_gcd_values
 from .wspace import WeightVector
 
@@ -374,7 +374,7 @@ def exceptional_candidates(report: ScanReport) -> list[ExceptionalCandidate]:
         out.append(
             ExceptionalCandidate(
                 alpha=rec.alpha,
-                zero_coordinates=tuple(i for i, a in enumerate(rec.alpha) if a == 0),
+                zero_coordinates=_vanishing(rec.alpha),
                 coordinate_gcd=math.gcd(*rec.alpha),
                 equal_pairs=pairs,
             )

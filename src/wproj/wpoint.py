@@ -40,6 +40,13 @@ class WPoint:
         return "[" + ":".join(str(x) for x in self.coords) + "]"
 
 
+def _vanishing(coords: Sequence[int]) -> tuple[int, ...]:
+    """The indices of the zero coordinates, the complement of the support."""
+    if 0 not in coords:  # most points, and a quicker test than the scan
+        return ()
+    return tuple(i for i, c in enumerate(coords) if c == 0)
+
+
 def integralize(coords: Sequence[Rational], w: WeightVector) -> WPoint:
     """Scale rational coordinates by the minimal positive lambda into Z.
 
@@ -60,12 +67,20 @@ def integralize(coords: Sequence[Rational], w: WeightVector) -> WPoint:
             if vp < 0:
                 e = max(e, -(vp // q))  # ceil(-vp / q)
         lam *= p**e
-    scaled = []
-    for x, q in zip(xs, w.q):
-        val = x * Fraction(lam) ** q
-        assert val.denominator == 1
-        scaled.append(val.numerator)
-    return WPoint(w, tuple(scaled))
+    return _scaled(lam, xs, w)
+
+
+def _scaled(lam: Rational, coords: Sequence[Rational], w: WeightVector) -> WPoint:
+    """The point (lambda^{q_i} x_i), whose coordinates must be integers."""
+    out = []
+    for c, q in zip(coords, w.q):
+        val = c * lam**q
+        if val.denominator != 1:
+            raise DomainError(
+                f"non-integral coordinate {val} under lambda={lam}; integralize first"
+            )
+        out.append(val.numerator)
+    return WPoint(w, tuple(out))
 
 
 def _level(coords: Sequence[int], q: Sequence[int], p: int) -> Fraction:
@@ -173,15 +188,7 @@ def act(lam: Rational, x: WPoint) -> WPoint:
     lam = Fraction(lam)
     if lam == 0:
         raise DomainError("lambda must be nonzero")
-    out = []
-    for c, q in zip(x.coords, x.w.q):
-        val = Fraction(c) * lam**q
-        if val.denominator != 1:
-            raise DomainError(
-                f"non-integral coordinate {val} under lambda={lam}; integralize first"
-            )
-        out.append(val.numerator)
-    return WPoint(x.w, tuple(out))
+    return _scaled(lam, x.coords, x.w)
 
 
 def _veronese_powers(coords: Sequence[int], w: WeightVector) -> list[int]:

@@ -105,8 +105,9 @@ def parse(text: str, weights: dict[str, int]) -> WPoly:
 
     Grammar: poly := ['-'] term (('+'|'-') term)*;  term := [integer]
     factor*;  factor := ident ('^' uint)?;  juxtaposition (whitespace or
-    '*') is product.  Rejects inhomogeneous input, listing the offending
-    monomials with their weighted degrees.
+    '*') is product, and a '*' stands between a coefficient or factor and
+    a following factor.  Rejects inhomogeneous input, listing the
+    offending monomials with their weighted degrees.
     """
     names = tuple(weights)
     index = {n: i for i, n in enumerate(names)}
@@ -138,7 +139,10 @@ def parse(text: str, weights: dict[str, int]) -> WPoly:
             kind, val, pos = peek()
             if kind == "op" and val == "*":
                 i += 1
-                kind, val, pos = peek()
+                kind, val, after = peek()
+                if not saw_factor or kind != "ident":
+                    raise ParseError(f"'*' at position {pos} needs a factor on each side")
+                pos = after
             if kind != "ident":
                 break
             if val not in index:
@@ -194,11 +198,11 @@ def parse(text: str, weights: dict[str, int]) -> WPoly:
 
 
 def parse_wpoly_file(text: str) -> tuple[dict[str, int], list[WPoly]]:
-    lines = text.splitlines()
     weights: dict[str, int] | None = None
     stanzas: list[str] = []
     current: list[str] = []
-    for line in lines:
+    # the end of the text closes the last stanza, as a blank line does
+    for line in [*text.splitlines(), ""]:
         stripped = line.strip()
         if stripped.startswith("#"):
             continue
@@ -227,8 +231,6 @@ def parse_wpoly_file(text: str) -> tuple[dict[str, int], list[WPoly]]:
                 current = []
             continue
         current.append(stripped)
-    if current:
-        stanzas.append(" ".join(current))
     if weights is None:
         raise ParseError("missing 'weights:' header")
     if not stanzas:

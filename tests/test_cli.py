@@ -326,6 +326,18 @@ class TestPolyCommands:
         code, _, err = run(capsys, "poly-check", "--poly", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["poly-check", "poly-eval", "subscheme-height"])
+    def test_header_with_one_variable(self, capsys, tmp_path, command):
+        path = tmp_path / "one.wpoly"
+        path.write_text("weights: x=1\n\nx\n")
+        extra = {
+            "poly-eval": ["--point", "1"],
+            "subscheme-height": ["--point", "1", "--codim", "1"],
+        }
+        code, out, err = run(capsys, command, "--poly", str(path), *extra.get(command, []))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "error: need at least two weights"
+
     def test_poly_check_bad_weights_header(self, capsys, tmp_path):
         path = tmp_path / "bad.wpoly"
         for header, expected in (("x=1 x=2", 2), ("x=0 y=0", 1), ("x=1 y=-2", 1)):
@@ -593,6 +605,15 @@ class TestSplitHeightDivisor:
         assert (code, out) == (1, "")
         assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
         assert "0..1" in err
+
+    def test_point_is_normalized(self, capsys):
+        _, reduced, _ = run(capsys, "split-height", "--weights", "1,1", "--point", "2:1")
+        code, out, _ = run(capsys, "split-height", "--weights", "1,1", "--point", "4:2")
+        assert (code, out) == (0, reduced)
+        code, out, _ = run(
+            capsys, "split-height", "--weights", "1,1", "--point", "4:2", "--format", "json"
+        )
+        assert code == 0 and json.loads(out)["point"] == "[2:1]"
 
     def test_repeated_index(self, capsys):
         code, out, _ = run(

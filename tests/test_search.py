@@ -587,12 +587,32 @@ def _cost(config):
     return vol * (config.bound ** config.w.m if config.phase2 else 1)
 
 
+def _search_collecting_only_hits(config):
+    """search(config), checking that ``_collect`` receives exactly the hits:
+    as many candidates before the call as hits after it."""
+    collect = search_module._collect
+    sizes = []
+
+    def counted(config, candidates):
+        before = len(candidates)
+        hits = collect(config, candidates)
+        sizes.append((before, len(hits)))
+        return hits
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_module, "_collect", counted)
+        report = search(config)
+    assert all(before == after for before, after in sizes), sizes
+    return report
+
+
 class TestAgainstReference:
     @given(_search_configs())
     @settings(max_examples=150, deadline=None)
     def test_same_hits_as_reference(self, config):
         assume(_cost(config) <= 20_000)
-        assert _summary(search(config).hits) == _summary(_reference_search(config))
+        hits = _search_collecting_only_hits(config).hits
+        assert _summary(hits) == _summary(_reference_search(config))
 
     @pytest.mark.parametrize(
         "q,B,phase2",
@@ -607,7 +627,24 @@ class TestAgainstReference:
     )
     def test_fixed_cases(self, q, B, phase2):
         config = SearchConfig(classify(q), B, phase2=phase2)
-        assert _summary(search(config).hits) == _summary(_reference_search(config))
+        hits = _search_collecting_only_hits(config).hits
+        assert _summary(hits) == _summary(_reference_search(config))
+
+    @pytest.mark.parametrize(
+        "q,B,phase2,nonvanishing",
+        [
+            ((2, 3), Fraction(2), True, {0}),
+            ((2, 3), Fraction(2), False, {1}),
+            ((2, 4, 6, 10), Fraction(9, 8), True, {0, 3}),
+            ((2, 2, 3), Fraction(3, 2), True, {2}),
+        ],
+    )
+    def test_fixed_cases_requiring_nonzero(self, q, B, phase2, nonvanishing):
+        config = SearchConfig(
+            classify(q), B, nonvanishing=frozenset(nonvanishing), phase2=phase2
+        )
+        hits = _search_collecting_only_hits(config).hits
+        assert _summary(hits) == _summary(_reference_search(config))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,17 @@ class TestParse:
         assert f.eval((1, 1)) == 1
         g = parse_poly("-x0 x1 + 4x0^3", {"x0": 1, "x1": 2})
         assert g.eval((2, 3)) == -6 + 32
+        assert parse_poly("2 * x0", {"x0": 1}).terms == ((2, (1,)),)
+        assert parse_poly("x*y", {"x": 1, "y": 1}).terms == ((1, (1, 1)),)
+
+    @pytest.mark.parametrize(
+        "text,pos",
+        [("x0 *", 3), ("* x0", 0), ("2 + * x0", 4), ("2 *", 2), ("x0 * * x1", 3)],
+        ids=["trailing", "leading", "after-plus", "after-coefficient", "doubled"],
+    )
+    def test_star_must_join_two_factors(self, text, pos):
+        with pytest.raises(ParseError, match=rf"'\*' at position {pos}\b"):
+            parse_poly(text, {"x0": 1, "x1": 1})
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ParseError, match="zero"):
