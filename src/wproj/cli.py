@@ -547,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
          ["--weights", *report]),
         ("search", _cmd_search, "bounded-height point search",
          ["--weights", "--bound", ("--poly", {}), ("--require-nonzero", {}), jobs,
-          ("--no-phase2", flag), *report]),
+          ("--no-phase2", {**flag, "help": "only points in the box |x_i| <= floor(B^q_i)"}),
+          *report]),
         ("vojta-scan", _cmd_vojta_scan, "empirical gcd-bound scan",
          ["--weights", "--poly", codim, primes, "--eps", "--delta",
           ("--samples", {"type": int, "required": True}), "--box",

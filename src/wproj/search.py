@@ -7,43 +7,46 @@ for its point exactly when
   (i) its level c_p = min_{i in T} v_p(x_i)/q_i is below 1/d_T at every
       prime p (otherwise lambda = p^{-1/d_T} keeps x integral), and
   (ii) x is the ``_sign_key`` minimum of its two sign patterns.
-Phase 1 keeps the box tuples that ``wpoint._canonical_coords`` returns
-unchanged, which are those meeting (i) and (ii); phase 2 builds only such
-tuples, each once.  No candidate is deduplicated, and none from phase 2 is
-factored.
+The search builds only such tuples, each once, so no candidate is
+canonicalized, deduplicated or factored.
 
-Every candidate is a hit.  Both phases apply the required-nonzero rule
-(``SearchConfig.nonvanishing``) before they pack a point: phase 1 to each
-box tuple, phase 2 by skipping each support that lacks a required index.
-So ``_collect`` only confirms wh exactly and sorts.
+Every candidate is a hit.  The required-nonzero rule
+(``SearchConfig.nonvanishing``) skips each support that lacks a required
+index before anything on it is built, so ``_collect`` only confirms wh
+exactly and sorts.
 
-Completeness strategy (two phases).  Phase 1 scans the base box
-|x_i| <= floor(B^{q_i}), which contains every point whose finite
-local-height factors are trivial, and keeps its canonical tuples.  A
-canonical point can still satisfy wh <= B outside that box when primes
-divide all of its nonzero coordinates ("deflation": the finite places
-contribute p^{-c_p} with c_p > 0).  Phase 2 enumerates, per support in its
-reduced weights, the deflation profiles: sets of primes with levels
-0 < c < 1 (patterns proportional to the weights are impossible in that
-range, so a positive budget gap always exists and the admissible primes
-form a finite list), composing several primes recursively over increasing
-p with a multiplicative budget.  It keeps the multiple D*y of a residual
-tuple y only when the point lies outside the phase-1 box, tested first
-and against limits made once per profile (D*y is in the box iff every
-|y_i| <= floor(box_i / D_i)), and the profile is exactly the point's own.
-The sign rule (ii) fixes the sign of one coordinate per support, so
-phase 2 scans only that half of each residual box.  ``search`` proves that
-every canonical point of height at most B is then built exactly once.
+Completeness strategy (one walk per support).  Each support is handled in
+its reduced weights with bound B^{d_T}.  The primes p with c_p > 0, which
+divide every nonzero coordinate, and their levels are a point's deflation
+profile; canonicity puts each level in (0, 1), and x = D*y for the
+profile's coordinate divisors D and a residual tuple y.  The finite places
+contribute p^{-c_p} to the height, so the residual box, where y lies, grows
+with the profile.  ``_deflation_profiles`` walks the profiles as a tree over
+increasing primes with a multiplicative budget (patterns proportional to
+the weights are impossible in (0, 1), so a positive budget gap always
+exists and the admissible primes form a finite list).  Its root is the
+empty profile: D = 1, the residual radii are the box radii floor(B^{q_i}),
+and its points are the tuples of gcd 1 in the box.  ``_scan_box`` scans the
+root of every support and ``_phase2_candidates`` walks the nonempty
+profiles.  A support of one coordinate i has the one point e_i, which is
+not scanned.  The sign rule (ii) fixes the sign of one coordinate per
+support, so only that half of each residual box is scanned.  ``search``
+proves that every canonical point of height at most B is then built exactly
+once, from its own profile.
+
+Box mode (``phase2=False``, ``--no-phase2``) is the same walk restricted to
+the box |x_i| <= floor(B^{q_i}): the walk stops at a profile with some D_i
+above the box radius, and each residual radius is floor(box_i / D_i).
 
 Hits.  A point is one int from the moment it is built until it is
 written: the key wh^m followed by the digits 2|c_i| + (c_i < 0) of its
-coordinates, each ``PackedHits.width`` bits wide.  Phase 1 packs its
-kept box tuples and phase 2 its multiples D*y into one ``PackedHits`` as
-they arrive, so no list of tuples or ``SearchHit`` is built; ``_collect``
-sorts the ints in place, which is the order of (wh^m, ``_lex_key``), and
-the writers decode each key to text.  Every point is alive until it is
-written, so the keys are a search's peak memory.  A ``SearchHit`` is
-built only when a caller reads one from ``SearchReport.hits``.
+coordinates, each ``PackedHits.width`` bits wide.  Every profile packs its
+points D*y into one ``PackedHits`` as they arrive, so no list of tuples or
+``SearchHit`` is built; ``_collect`` sorts the ints in place, which is the
+order of (wh^m, ``_lex_key``), and the writers decode each key to text.
+Every point is alive until it is written, so the keys are a search's peak
+memory.  A ``SearchHit`` is built only when a caller reads one from
+``SearchReport.hits``.
 """
 
 from __future__ import annotations
@@ -53,15 +56,17 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import floordiv, le, lt, mul
+from operator import floordiv, lt, mul
 
 from ._fanout import fan_out
 from .exactnum import DomainError, _nth_root_floor, _primes_upto
-from .wpoint import WPoint, _canonical_coords, _vanishing, _wh_m, canonicalize
+from .wpoint import WPoint, _vanishing, _wh_m, canonicalize
 from .wpoly import WPoly, _eval_terms
 from .wspace import WeightVector
 
-_FAST_PATH_VOLUME = 5_000
+# boxes above this volume go to the modular sieve: its set-up costs about
+# as much as exact evaluation of a few dozen tuples
+_FAST_PATH_VOLUME = 64
 # the largest prime below 2^26, and the entries in one block of the sieve
 _SIEVE_PRIME = 67_108_859
 _SIEVE_BLOCK = 1 << 14
@@ -138,8 +143,8 @@ def _decode(
 
 
 class PackedHits(Sequence):
-    """The points of one search, one int each: phase 1 and then phase 2
-    pack into one ``PackedHits``, which ``_collect`` sorts.
+    """The points of one search, one int each: every profile packs into one
+    ``PackedHits``, which ``_collect`` sorts.
 
     A key is wh^m followed by the digits 2|c_i| + (c_i < 0), ``width`` bits
     each.  Every digit is below 2^width and every key has the same number of
@@ -272,34 +277,26 @@ def _scan_box_fast(terms, ranges) -> list[tuple[int, ...]]:
     return out
 
 
-def _scan_chunk(args) -> tuple[list[tuple[int, ...]], int]:
-    """Worker: scan a sub-box; returns (solutions, candidate count)."""
+def _scan_chunk(args) -> tuple[Iterable[tuple[int, ...]], int]:
+    """Worker: the zeros of the terms in a box; returns (zeros, box volume).
+    With no terms (None) every tuple is one, listed lazily, so only the
+    calling process may run that."""
     terms, ranges = args
     volume = math.prod(map(len, ranges))
     if terms is None:
-        return list(itertools.product(*ranges)), volume
+        return itertools.product(*ranges), volume
     if volume > _FAST_PATH_VOLUME:
         return _scan_box_fast(terms, ranges), volume
     return [t for t in itertools.product(*ranges) if _eval_terms(terms, t) == 0], volume
 
 
-def _scan_box(terms, ranges, jobs: int) -> tuple[list[tuple[int, ...]], int]:
-    """The phase-1 box scan, on up to ``jobs`` contiguous runs of the first
-    axis."""
-    first = ranges[0]
-    k = min(jobs, len(first))
-    runs = [first[len(first) * i // k : len(first) * (i + 1) // k] for i in range(k)]
-    parts = fan_out(_scan_chunk, [(terms, [run, *ranges[1:]]) for run in runs], jobs)
-    return [x for sols, _ in parts for x in sols], sum(n for _, n in parts)
-
-
 # ---------------------------------------------------------------------------
-# phase 2: deflation profiles
+# deflation profiles
 # ---------------------------------------------------------------------------
 
 
 def _deflation_profiles(
-    qs: Sequence[int], budgets_m: Sequence[int], m: int
+    qs: Sequence[int], budgets_m: Sequence[int], m: int, box: bool = False
 ) -> Iterator[tuple]:
     """All nonempty multi-prime deflation profiles of the reduced weights
     qs: (divisors, floored residual budgets, and per prime p of the profile
@@ -317,6 +314,11 @@ def _deflation_profiles(
     stays at least 1; that fails for every larger prime once it fails for
     one, so a node drops the level there.  Each profile carries its
     divisors and pairs down the tree and is built once.
+
+    In box mode the budgets are the box radii floor(B^{q_i}) and a pair
+    costs p^{e_i}, so a profile's budgets are floor(box_i / D_i), a profile
+    is walked only while every D_i <= box_i, and the sieve stops at the box
+    bound.
     """
     levels = []
     for c in sorted({Fraction(a, q) for q in qs for a in range(1, q)}):
@@ -325,7 +327,7 @@ def _deflation_profiles(
         for q, ei in zip(qs, e):
             mc = m * q * c
             assert mc.denominator == 1
-            cost.append(m * ei - mc.numerator)
+            cost.append(ei if box else m * ei - mc.numerator)
         tight = tuple(i for i, q in enumerate(qs) if (q * c).denominator == 1)
         levels.append((e, tuple(cost), tight))
     if not levels:
@@ -370,16 +372,24 @@ def _deflation_profiles(
 
 
 # ---------------------------------------------------------------------------
-# the search itself
+# the search itself: one walk per support
 # ---------------------------------------------------------------------------
 
 
+def _axis(r: int) -> list[int]:
+    """The nonzero values of |y| <= r, the negative ones first."""
+    return [*range(-r, 0), *range(1, r + 1)]
+
+
+def _half_box(axes: list[list[int]], j: int) -> list[list[int]]:
+    """The axes of a residual box with y_j > 0: the positive half of axis j."""
+    return [a[len(a) // 2 :] if i == j else a for i, a in enumerate(axes)]
+
+
 def _phase1_ranges(w: WeightVector, B: Fraction) -> list[list[int]]:
-    out = []
-    for q in w.q:
-        r = _floor_pow(B, q)
-        out.append(list(range(-r, r + 1)))
-    return out
+    """The root's axes, the nonzero values of |x_i| <= floor(B^{q_i}).  They
+    are lists, so a box too large for memory fails here, before any scan."""
+    return [_axis(_floor_pow(B, q)) for q in w.q]
 
 
 def _support_terms(poly: WPoly, support) -> list[tuple[int, tuple[int, ...]]]:
@@ -411,83 +421,117 @@ def _sign_axis(qs: Sequence[int]) -> int:
     return next(i for i, q in enumerate(qs) if q % 2)
 
 
+def _supports(config: SearchConfig) -> Iterator[tuple]:
+    """(support, reduced weights, sign axis, terms of f on it or None) of
+    each support of two or more coordinates holding every required-nonzero
+    index; a support that lacks one has no hit."""
+    w, poly = config.w, config.hypersurface
+    for k in range(2, len(w.q) + 1):
+        for support in itertools.combinations(range(len(w.q)), k):
+            if config.nonvanishing <= set(support):
+                d = math.gcd(*(w.q[i] for i in support))
+                qs = [w.q[i] // d for i in support]
+                terms = None if poly is None else _support_terms(poly, support)
+                yield support, qs, _sign_axis(qs), terms
+
+
 def _exact_profile(y: tuple[int, ...], profile) -> bool:
     """Conditions (a) and (b) of ``search``: D*y has level exactly c at
     each profile prime and level 0 at every other prime."""
+    g = math.gcd(*y)
     for p, tight in profile:
         for i in tight:
             if y[i] % p:
                 break
         else:
             return False
-    g = math.gcd(*y)
-    for p, _ in profile:
-        if g == 1:
-            return True
         while g % p == 0:
             g //= p
     return g == 1
 
 
-def _phase2_candidates(
-    w: WeightVector,
-    B: Fraction,
-    poly: WPoly | None,
-    nonvanishing: frozenset[int],
-    out: PackedHits,
+def _add_points(
+    out: PackedHits, w: WeightVector, support, divisors, profile, tuples
+) -> None:
+    """Pack x = D*y, zero off the support, with its wh^m for each residual
+    tuple y of the profile that meets (a) and (b): the one way a point is
+    built."""
+    n = len(w.q)
+    for y in tuples:
+        if _exact_profile(y, profile):
+            x = [0] * n
+            for i, v in zip(support, map(mul, divisors, y)):
+                x[i] = v
+            out.add(x, _wh_m(x, w))
+
+
+def _scan_box(
+    config: SearchConfig, supports: list[tuple], out: PackedHits
 ) -> tuple[PackedHits, int]:
-    """``out``, after phase 2 has packed into it the canonical points
-    outside the phase-1 box with their wh^m, and the volume of the residual
-    boxes.
+    """``out``, after the root profile of every support has packed into it
+    its points, and the volume of the box |x_i| <= floor(B^{q_i}).
+
+    The root has D = 1 and the box radii as residual radii, so its points
+    are the tuples of gcd 1 in each support's half box.  A support {i} has
+    the one point e_i, with wh 1.  With a hypersurface the workers return
+    the zeros of f on runs of the half boxes' first axes: run i of every
+    support for each i < ``config.jobs`` in turn, so that each worker takes
+    a like share of every support.
+    """
+    w, poly = config.w, config.hypersurface
+    n = len(w.q)
+    axes = _phase1_ranges(w, config.bound)
+    for i in range(n):
+        e = tuple(int(k == i) for k in range(n))
+        if config.nonvanishing <= {i} and (poly is None or _eval_terms(poly.terms, e) == 0):
+            _add_points(out, w, (i,), (1,), (), [(1,)])
+    # with no hypersurface every tuple is a zero, listed lazily in this
+    # process: a worker would only list tuples
+    jobs = 1 if poly is None else config.jobs
+    runs = []
+    for i in range(jobs):
+        for support, _, j, terms in supports:
+            first, *rest = _half_box([axes[k] for k in support], j)
+            run = first[len(first) * i // jobs : len(first) * (i + 1) // jobs]
+            if run:
+                runs.append((support, terms, [run, *rest]))
+    zeros = fan_out(_scan_chunk, [(terms, ranges) for _, terms, ranges in runs], jobs)
+    for (support, _, _), (ys, _) in zip(runs, zeros):
+        _add_points(out, w, support, (1,) * len(support), (), ys)
+    return out, math.prod(len(a) + 1 for a in axes)
+
+
+def _phase2_candidates(
+    config: SearchConfig, supports: list[tuple], out: PackedHits
+) -> tuple[PackedHits, int]:
+    """``out``, after the nonempty deflation profiles of every support have
+    packed into it their points, and the volume of their residual boxes (0
+    in box mode, whose candidates the box volume counts).
 
     Each support is handled in its reduced weight system q_i/d with bound
     B^d (the rescaling law lwh_{d*q} = (1/d) lwh_q makes this exact): the
     smaller weight lcm keeps the exponent lattice of the deflation
-    profiles small.  No residual box lies inside the phase-1 box, so every
-    profile is scanned: with w_i the weight of coordinate i and
-    X_i = B^{w_i} / D_i, the radius is floor(M_i X_i) for the product M_i of
-    p^{q_i c} over the profile's pairs (p, c).  At an index tight for some
-    pair, M_i >= p >= 2, so the radius, at least 1, exceeds floor(X_i),
-    the limit of (c) there.
+    profiles small.  With w_i the weight of coordinate i and
+    X_i = B^{w_i} / D_i, the residual radius is floor(M_i X_i) for the
+    product M_i of p^{q_i c} over the profile's pairs (p, c); M_i >= 1, so it
+    is at least floor(box_i / D_i), the radius in box mode.
     """
-    n = len(w.q)
-    box = [_floor_pow(B, q) for q in w.q]
+    w, B, box = config.w, config.bound, not config.phase2
     count = 0
-    for support in itertools.chain.from_iterable(
-        itertools.combinations(range(n), k) for k in range(2, n + 1)
-    ):
-        if not nonvanishing <= set(support):
-            # every candidate here has a required-nonzero coordinate at 0
-            continue
-        d = math.gcd(*(w.q[i] for i in support))
-        qs = [w.q[i] // d for i in support]
+    for support, qs, j, terms in supports:
         m = math.lcm(*qs)
-        budgets_m = [_floor_pow(B**d, m * q) for q in qs]
-        j = _sign_axis(qs)
-        support_box = [box[i] for i in support]
-        if poly is not None:
-            terms = _support_terms(poly, support)
-        for divisors, residual, profile in _deflation_profiles(qs, budgets_m, m):
-            radii = [_nth_root_floor(b, m) for b in residual]
-            count += math.prod(2 * r for r in radii)
+        # the budgets (B^d)^{k q_i/d}: the m-th powers of the residual radii,
+        # or in box mode the box radii themselves
+        k = 1 if box else m
+        budgets = [_floor_pow(B, k * w.q[i]) for i in support]
+        for divisors, residual, profile in _deflation_profiles(qs, budgets, m, box):
+            radii = [_nth_root_floor(b, k) for b in residual]
+            if not box:
+                count += math.prod(2 * r for r in radii)
             out.fit(max(map(mul, divisors, radii)))
-            # (c): D*y lies in the phase-1 box iff every |y_i| <= limits_i
-            limits = list(map(floordiv, support_box, divisors))
-            ranges = [[*range(-r, 0), *range(1, r + 1)] for r in radii]
-            ranges[j] = range(1, radii[j] + 1)
-            if poly is None:
-                tuples = itertools.product(*ranges)
-            else:
-                tuples, _ = _scan_chunk((_substituted_terms(terms, divisors), ranges))
-            for y in tuples:
-                if all(map(le, map(abs, y), limits)):
-                    continue  # phase 1 holds it
-                if not _exact_profile(y, profile):
-                    continue
-                full = [0] * n
-                for i, v in zip(support, map(mul, divisors, y)):
-                    full[i] = v
-                out.add(full, _wh_m(full, w))
+            sub = None if terms is None else _substituted_terms(terms, divisors)
+            tuples, _ = _scan_chunk((sub, _half_box([_axis(r) for r in radii], j)))
+            _add_points(out, w, support, divisors, profile, tuples)
     return out, count
 
 
@@ -513,45 +557,52 @@ def _collect(config: SearchConfig, candidates: PackedHits) -> PackedHits:
 def search(config: SearchConfig) -> SearchReport:
     """Run the bounded-height search (with or without a hypersurface).
 
-    Each canonical point x with wh(x) <= B (on V(f), if given, and
-    nonzero at every required index) is built exactly once, and nothing
-    else is built: every candidate is a hit.  If x lies in the phase-1
-    box, phase 1 keeps it and phase 2 does not, by (c) below.  Otherwise
-    let T be its support and P(x) the pairs (p, c_p(x)) with c_p(x) > 0,
-    levels taken in the reduced weights q_i/d_T, where canonicity puts
-    them in (0, 1); each is some a/q_i, the ratio at an index attaining
-    the minimum.  Phase 2 visits the profile P = P(x) once (its primes
-    increase along the recursion) and builds x = D*y from y = x/D, which
-    is integral since v_p(x_i) >= q_i c_p forces
-    v_p(x_i) >= e_i = ceil(q_i c_p).  y lies in
-    the residual box: in the reduced weights, with bound B^{d_T}, integral
-    x has height max_i |x_i|^{1/q_i} prod_p p^{-c_p}, so wh(x) <= B is
-    exactly |y_i| <= residual radius_i for every i.
+    Each canonical point x with wh(x) <= B (on V(f), if given, nonzero at
+    every required index, and in box mode inside the box) is built exactly
+    once, and nothing else is built: every candidate is a hit.  Let T be
+    its support.  If T = {i}, then x = e_i: in the reduced weight 1 every
+    level v_p(x_i) is below 1, so |x_i| = 1, and (ii) makes it positive.
+    ``_scan_box`` builds it, with wh 1, when f(e_i) = 0.  Otherwise let P(x)
+    be the pairs (p, c_p(x)) with c_p(x) > 0, levels taken in the reduced
+    weights q_i/d_T, where canonicity puts them in (0, 1); each is some
+    a/q_i, the ratio at an index attaining the minimum.  The walk of T
+    visits the profile P = P(x) once: the root P = () in ``_scan_box``, any
+    other in ``_phase2_candidates``, whose primes increase along the
+    recursion.  It builds x = D*y from y = x/D, which is integral since
+    v_p(x_i) >= q_i c_p forces v_p(x_i) >= e_i = ceil(q_i c_p); at the root
+    D = 1.  y lies in the residual box: in the reduced weights, with bound
+    B^{d_T}, integral x has height max_i |x_i|^{1/q_i} prod_p p^{-c_p}, so
+    wh(x) <= B is exactly |y_i| <= residual radius_i for every i, and at
+    the root the residual radii are the box radii floor(B^{q_i}).
     x is kept when
       (a) gcd(y) with the profile primes divided out is 1: a prime outside
           P dividing every y_i would give x a positive level there;
       (b) at each (p, c) of P some tight index i (q_i c an integer) has
           p not dividing y_i: the index attaining c_p(x) has
-          v_p(x_i) = q_i c_p = e_i;
-      (c) some |x_i| > floor(B^{q_i}), that is, some
-          |y_i| > floor(floor(B^{q_i}) / D_i), as D_i > 0.
+          v_p(x_i) = q_i c_p = e_i.
     Conversely, for any profile P and y meeting (a) and (b), x = D*y has
     level at least c at each (p, c) of P, since e_i >= q_i c, exactly c by
     (b), and 0 elsewhere by (a).  So P = P(x) and y = x/D: no other profile
     or residual tuple builds x again, and x is canonical up to its sign
-    pattern.  The other sign pattern eps*x has the same valuations and box
-    status and lies on V(f) as well (f is weighted homogeneous), so
-    exactly one of the two is the ``_sign_key`` minimum, and phase 2 builds
-    only that one: with j = ``_sign_axis``(q_T) it scans y_j > 0 alone.
-    Indeed D > 0, so x_i has the sign of y_i, and no y_i is 0, so
-    ``_sign_flip`` negates exactly the positions of T with odd reduced
-    weight.  ``_sign_key`` first compares the sign of the last nonzero
-    coordinate, which the flip changes iff the last reduced weight is odd;
-    then j is that position and the minimum has x_j > 0.  Otherwise the
-    last signs agree and ``_lex_key`` decides at the first position the
-    flip changes, the first odd reduced weight, which is j; at equal
-    magnitude the positive value comes first, so again the minimum has
-    x_j > 0.
+    pattern.  The other sign pattern eps*x has the same valuations and lies
+    on V(f) as well (f is weighted homogeneous), so exactly one of the two
+    is the ``_sign_key`` minimum, and the walk builds only that one: with
+    j = ``_sign_axis``(q_T) it scans y_j > 0 alone.  Indeed D > 0, so x_i
+    has the sign of y_i, and no y_i is 0, so ``_sign_flip`` negates exactly
+    the positions of T with odd reduced weight.  ``_sign_key`` first
+    compares the sign of the last nonzero coordinate, which the flip changes
+    iff the last reduced weight is odd; then j is that position and the
+    minimum has x_j > 0.  Otherwise the last signs agree and ``_lex_key``
+    decides at the first position the flip changes, the first odd reduced
+    weight, which is j; at equal magnitude the positive value comes first,
+    so again the minimum has x_j > 0.
+
+    Box mode keeps the points with every |x_i| <= box_i = floor(B^{q_i});
+    each has wh(x) <= B, as the finite factors p^{-c_p} are at most 1.  y
+    has no zero, so x = D*y is in the box iff every |y_i| <=
+    floor(box_i / D_i), and no y is once some D_i > box_i.  D_i only grows
+    down the tree and with p, so ``_deflation_profiles`` drops such a
+    profile with its subtree and every larger prime.
     """
     import time
 
@@ -560,21 +611,11 @@ def search(config: SearchConfig) -> SearchReport:
     hits = PackedHits(w)
     p1_count = p2_count = 0
     if B >= 1:
-        terms = config.hypersurface.terms if config.hypersurface else None
-        sols, p1_count = _scan_box(terms, _phase1_ranges(w, B), config.jobs)
-        # the box tuples that are hits as they stand (nonzero at every
-        # required index and canonical), to which phase 2 adds its points;
         # the box radius floor(B^q_i) is largest at the largest weight
         candidates = PackedHits(w, _floor_pow(B, max(w.q)))
-        for x in sols:
-            kept = any(x) and all(x[i] for i in config.nonvanishing)
-            if kept and _canonical_coords(x, w.q) == x:
-                candidates.add(x, _wh_m(x, w))
-        del sols  # the box tuples are not needed past this point
-        if config.phase2:
-            candidates, p2_count = _phase2_candidates(
-                w, B, config.hypersurface, config.nonvanishing, candidates
-            )
+        supports = list(_supports(config))
+        candidates, p1_count = _scan_box(config, supports, candidates)
+        candidates, p2_count = _phase2_candidates(config, supports, candidates)
         hits = _collect(config, candidates)
     return SearchReport(
         config=config,

@@ -88,7 +88,7 @@ class TestExitCodes:
         self, capsys, monkeypatch, tmp_path, existing
     ):
         # search --weights 2,3 --bound 1e3 asks _phase1_ranges for a list of
-        # 2*10^9 + 1 ints; the patched ranges raise without allocating
+        # 2*10^9 ints; the patched ranges raise without allocating
         def too_large(w, B):
             raise MemoryError
 
@@ -152,9 +152,18 @@ class TestJobs:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-        # the phase-1 box of P(1,1) at B = 1 has 3 values of x0
+        # with no hypersurface the search runs in process
         code, _, _ = run(capsys, "search", "--weights", "1,1", "--bound", "1", "--jobs", "8")
-        assert (code, sizes) == (0, [3])
+        assert (code, sizes) == (0, [])
+        # the work unit is a run of the first axis of a support's half box:
+        # the root half box of P(1,1) at B = 1 has x0 in {-1, 1} and x1 = 1
+        line = tmp_path / "line.wpoly"
+        line.write_text("weights: x0=1 x1=1\n\nx0 - x1\n")
+        code, _, _ = run(
+            capsys, "search", "--weights", "1,1", "--bound", "1", "--poly", str(line),
+            "--jobs", "8",
+        )
+        assert (code, sizes) == (0, [2])
         sizes.clear()
         poly = tmp_path / "z.wpoly"
         poly.write_text("weights: x0=1 x1=2 x2=3\n\nx1\n\nx2\n")
@@ -712,11 +721,25 @@ GOLDEN_SEARCH_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_SEARCH_DIGESTS))
-def test_search_report_digest(capsys, case):
+def _at_jobs(cases, ids):
+    """Each case at --jobs 1 under its id, then at --jobs 2."""
+    return [
+        pytest.param(case, jobs, id=name if jobs == "1" else f"{name}-jobs{jobs}")
+        for jobs in ("1", "2")
+        for case, name in zip(cases, ids)
+    ]
+
+
+@pytest.mark.parametrize(
+    "case,jobs",
+    _at_jobs(
+        sorted(GOLDEN_SEARCH_DIGESTS), [f"case{i}" for i in range(len(GOLDEN_SEARCH_DIGESTS))]
+    ),
+)
+def test_search_report_digest(capsys, case, jobs):
     weights, bound, *more = case
     code, out, err = run(
-        capsys, "search", "--weights", weights, "--bound", bound, "--jobs", "1",
+        capsys, "search", "--weights", weights, "--bound", bound, "--jobs", jobs,
         "--format", "json", *more,
     )
     assert code == 0, err
@@ -771,13 +794,16 @@ GOLDEN_HYPERSURFACE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(GOLDEN_HYPERSURFACE_DIGESTS))
-def test_search_hypersurface_report_digest(capsys, tmp_path, fmt):
+@pytest.mark.parametrize(
+    "fmt,jobs",
+    _at_jobs(sorted(GOLDEN_HYPERSURFACE_DIGESTS), sorted(GOLDEN_HYPERSURFACE_DIGESTS)),
+)
+def test_search_hypersurface_report_digest(capsys, tmp_path, fmt, jobs):
     poly = tmp_path / "f.wpoly"
     poly.write_text(HYPERSURFACE_243)
     code, out, err = run(
         capsys, "search", "--weights", "2,4,3", "--bound", "3/2", "--poly", str(poly),
-        "--require-nonzero", "1", "--jobs", "1", "--format", fmt,
+        "--require-nonzero", "1", "--jobs", jobs, "--format", fmt,
     )
     assert code == 0, err
     digest = hashlib.sha256(_cut_wall_time(out).encode()).hexdigest()

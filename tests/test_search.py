@@ -27,8 +27,6 @@ from wproj.search import (
     _deflation_profiles,
     _floor_pow,
     _nth_root_floor,
-    _phase1_ranges,
-    _scan_box,
     _scan_chunk,
     _sign_axis,
     _substituted_terms,
@@ -476,6 +474,15 @@ def _reference_substituted_terms(poly, support, divisors):
     return terms
 
 
+def _reference_zeros(terms, ranges):
+    """The tuples of a box where the terms vanish (all of them if there are
+    no terms), by brute force."""
+    tuples = itertools.product(*ranges)
+    if terms is None:
+        return list(tuples)
+    return [t for t in tuples if _eval_terms(terms, t) == 0]
+
+
 def _reference_phase2(w, B, poly, nonvanishing):
     n = len(w.q)
     out = []
@@ -494,8 +501,7 @@ def _reference_phase2(w, B, poly, nonvanishing):
                 continue
             ranges = [[y for y in range(-r, r + 1) if y != 0] for r in radii]
             terms = _reference_substituted_terms(poly, support, divisors)
-            sols, _ = _scan_box(terms, ranges, 1)
-            for y in sols:
+            for y in _reference_zeros(terms, ranges):
                 full = [0] * n
                 for pos, i in enumerate(support):
                     full[i] = divisors[pos] * y[pos]
@@ -534,7 +540,8 @@ def _reference_search(config):
     if B < 1:
         return []
     terms = config.hypersurface.terms if config.hypersurface else None
-    raw, _ = _scan_box(terms, _phase1_ranges(w, B), 1)
+    radii = [_floor_pow(B, q) for q in w.q]
+    raw = _reference_zeros(terms, [range(-r, r + 1) for r in radii])
     if config.phase2:
         raw = raw + _reference_phase2(
             w, B, config.hypersurface, config.nonvanishing
@@ -786,6 +793,23 @@ class TestP1Count:
         assert len(search(SearchConfig(w, B)).hits) == expected
 
 
+class TestRootCount:
+    """Equal weights have no deflation profile, so the root profile alone
+    builds every point: the tuples of gcd 1 in the box, one of each sign
+    pair.  In P^2(Q) at classical height N there are
+    sum_{d <= N} mu(d) ((2 floor(N/d) + 1)^3 - 1)/2 of them."""
+
+    def test_hit_count(self):
+        N = 40
+        expected = sum(
+            sympy.mobius(d) * (((2 * (N // d) + 1) ** 3 - 1) // 2) for d in range(1, N + 1)
+        )
+        assert expected == 219_457
+        report = search(SearchConfig(classify([1, 1, 1]), Fraction(N)))
+        assert (len(report.hits), report.phase1_candidates) == (expected, 81**3)
+        assert report.phase2_candidates == 0
+
+
 class TestSubstitution:
     @pytest.mark.parametrize("q", sorted(_POLYS))
     def test_same_terms_as_reference(self, q):
@@ -832,40 +856,63 @@ class TestSubstitution:
 
 class TestResidualScan:
     @pytest.mark.parametrize(
-        "q,B,poly",
+        "q,B,poly,phase2",
         [
-            ((2, 3), Fraction(9, 4), None),
-            ((2, 3), Fraction(9, 4), "x0^3 - x1^2"),
-            ((4, 6), Fraction(3, 2), "x0^3 + x1^2"),
+            ((2, 3), Fraction(9, 4), None, True),
+            ((2, 3), Fraction(9, 4), "x0^3 - x1^2", True),
+            ((4, 6), Fraction(3, 2), "x0^3 + x1^2", True),
+            ((2, 3), Fraction(3), None, False),
         ],
     )
-    def test_exact_profile_sees_only_tuples_outside_the_box(
-        self, monkeypatch, q, B, poly
-    ):
-        # (c) comes first: D*y in the phase-1 box is dropped before (a), (b)
+    def test_each_point_is_added_once(self, monkeypatch, q, B, poly, phase2):
+        # each point is built from its own profile alone, so no point is
+        # packed twice and every one packed is a hit
         w = classify(q)
         if poly is not None:
             poly = parse_poly(poly, {"x0": q[0], "x1": q[1]})
+        add = PackedHits.add
+        added = []
+
+        def recorded(self, coords, wh_m):
+            added.append((tuple(coords), wh_m))
+            add(self, coords, wh_m)
+
+        monkeypatch.setattr(PackedHits, "add", recorded)
+        hits = search(SearchConfig(w, B, hypersurface=poly, phase2=phase2)).hits
+        assert added
+        assert len(set(added)) == len(added) == len(hits)
+
+    def test_box_mode_walks_only_profiles_in_the_box(self, monkeypatch):
+        # without the box as a budget, the walk of the support (x2, x3)
+        # would sieve the primes up to 2^30; the points themselves are not
+        # built here, so the test costs the walk alone
+        q, B = (2, 4, 6, 10), Fraction(2)
         box = [_floor_pow(B, qi) for qi in q]
         walk = search_module._deflation_profiles
-        exact = search_module._exact_profile
-        divisors = []  # of the profile being scanned
-        seen = []
+        primes_upto = search_module._primes_upto
+        walked, sieved, scanned = [], [], []
 
         def profiles(*args):
             for item in walk(*args):
-                divisors[:] = item[0]
+                walked.append(item)
                 yield item
 
-        def recorded(y, profile):
-            seen.append(tuple(d * v for d, v in zip(divisors, y)))
-            return exact(y, profile)
+        def sieve(n):
+            sieved.append(n)
+            return primes_upto(n)
+
+        def add_points(out, w, support, divisors, profile, tuples):
+            if profile:
+                scanned.append((support, divisors))
 
         monkeypatch.setattr(search_module, "_deflation_profiles", profiles)
-        monkeypatch.setattr(search_module, "_exact_profile", recorded)
-        search(SearchConfig(w, B, hypersurface=poly))
-        assert seen
-        assert all(any(abs(v) > r for v, r in zip(x, box)) for x in seen)
+        monkeypatch.setattr(search_module, "_primes_upto", sieve)
+        monkeypatch.setattr(search_module, "_add_points", add_points)
+        search(SearchConfig(classify(q), B, phase2=False))
+        assert len(scanned) == len(walked) > 0
+        for support, divisors in scanned:
+            assert all(D <= box[i] for i, D in zip(support, divisors))
+        assert max(sieved) <= max(box)
 
     @pytest.mark.parametrize(
         "q,B",
